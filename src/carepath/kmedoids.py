@@ -4,6 +4,13 @@ The swap search is first-improvement: medoid slots and candidate points are
 scanned in ascending index order and any swap that lowers the total
 assignment distance is taken immediately; a full sweep without an accepted
 swap ends the search.
+
+Candidates are screened in fixed-size blocks, one medoid slot at a time:
+with the distance to the nearest other medoid held fixed, one array
+operation gives the total distance of every candidate in the block.  Each
+block row is summed the same way as a full evaluation, so the screen is
+exact; its first hit is confirmed with a full evaluation before the swap is
+taken, and the scan goes on from there with the lowered total.
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ from .errors import DataError
 from .metric import MetricWeights, PatientTrajectory, code_distance
 
 DEFAULT_MAX_SWEEPS = 100
+# cells per candidate block of the swap screen, which bounds its scratch memory
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,24 +73,36 @@ def fit_kmedoids(
     initial_total = td
     history: list[float] = []
 
+    rows = max(1, min(n, _BLOCK_CELLS // n))
+    block = np.empty((rows, n))
     converged = False
     for _ in range(max_iter):
         improved = False
         medoids = np.sort(medoids)
         for slot in range(k):
+            d_other = m[:, np.delete(medoids, slot)].min(axis=1, initial=np.inf)
             current = set(medoids.tolist())
-            for p in range(n):
-                if p in current:
-                    continue
-                candidate = medoids.copy()
-                candidate[slot] = p
-                cand_td = _total_distance(m, candidate)
-                if cand_td < td:
-                    medoids = candidate
-                    td = cand_td
-                    history.append(td)
-                    current = set(medoids.tolist())
-                    improved = True
+            for start in range(0, n, rows):
+                stop = min(start + rows, n)
+                screen = block[: stop - start]
+                # row c of the screen is the assignment cost with point
+                # start + c in this slot; each row sums contiguously, as
+                # _total_distance does, so the screen is exact
+                np.minimum(d_other, m[:, start:stop].T, out=screen)
+                scores = screen.sum(axis=1)
+                for c in np.flatnonzero(scores < td).tolist():
+                    p = start + c
+                    if p in current or not scores[c] < td:
+                        continue
+                    candidate = medoids.copy()
+                    candidate[slot] = p
+                    cand_td = _total_distance(m, candidate)
+                    if cand_td < td:
+                        medoids = candidate
+                        td = cand_td
+                        history.append(td)
+                        current = set(medoids.tolist())
+                        improved = True
         if not improved:
             converged = True
             break

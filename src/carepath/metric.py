@@ -6,6 +6,12 @@ mismatch can be made to matter more than a severity mismatch.  The
 trajectory distance aligns every stay with a three-position window of the
 other sequence, keeps the cheapest match, and averages the two directions
 so the result is symmetric.
+
+The cohort matrix is array-native: trajectories are encoded once as integer
+ids into a table of code distances and grouped into buckets by length, and
+each pair of buckets is scored with gathers on that table.  It adds the
+window minima in the same order as :func:`trajectory_distance`, which stays
+as the plain reference, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -103,24 +109,13 @@ def code_distance(a: StayCode, b: StayCode, weights: MetricWeights) -> float:
     )
 
 
-def _window_bounds(i: int, last: int) -> tuple[int, int]:
-    # positions i-1, i, i+1 clamped into [0, last]; as a contiguous range
-    lo = i - 1
-    if lo < 0:
-        lo = 0
-    elif lo > last:
-        lo = last
-    hi = i + 1
-    if hi > last:
-        hi = last
-    return lo, hi
-
-
 def _directed_sum(seq_a, seq_b, weights: MetricWeights) -> float:
     last = len(seq_b) - 1
     total = 0.0
     for i, code in enumerate(seq_a):
-        lo, hi = _window_bounds(i, last)
+        # positions i-1, i, i+1 clamped into [0, last]
+        lo = min(max(i - 1, 0), last)
+        hi = min(i + 1, last)
         total += min(code_distance(code, seq_b[j], weights) for j in range(lo, hi + 1))
     return total
 
@@ -140,17 +135,33 @@ def trajectory_distance(
     )
 
 
-def _directed_sum_cached(ids_a, ids_b, table) -> float:
-    last = len(ids_b) - 1
-    total = 0.0
-    for i, ca in enumerate(ids_a):
-        row = table[ca]
-        lo, hi = _window_bounds(i, last)
-        best = row[ids_b[lo]]
+def _code_table(reps: Sequence[StayCode], weights: MetricWeights) -> np.ndarray:
+    u = len(reps)
+    table = [[0.0] * u for _ in range(u)]
+    for i in range(u):
+        for j in range(i + 1, u):
+            d = code_distance(reps[i], reps[j], weights)
+            table[i][j] = d
+            table[j][i] = d
+    return np.array(table, dtype=float).reshape(u, u)
+
+
+def _directed_sums(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``out[a, b]`` is the directed windowed sum from ``rows[a]`` to ``cols[b]``.
+
+    ``rows`` and ``cols`` hold code ids of equal-length trajectories, one
+    per row.  Positions are added one at a time in sequence order, as
+    :func:`_directed_sum` does, so every entry is bit-for-bit the same.
+    """
+    last = cols.shape[1] - 1
+    total = np.zeros((rows.shape[0], cols.shape[0]))
+    for i in range(rows.shape[1]):
+        dist = table[rows[:, i]]
+        lo = min(max(i - 1, 0), last)
+        hi = min(i + 1, last)
+        best = dist[:, cols[:, lo]]
         for j in range(lo + 1, hi + 1):
-            v = row[ids_b[j]]
-            if v < best:
-                best = v
+            np.minimum(best, dist[:, cols[:, j]], out=best)
         total += best
     return total
 
@@ -160,9 +171,14 @@ def distance_matrix(
 ) -> np.ndarray:
     """Symmetric matrix of pairwise trajectory distances with a zero diagonal.
 
-    Code-level distances are cached per distinct rendering, so the cost
-    scales with the number of distinct codes rather than raw sequence
-    content.  Entries equal :func:`trajectory_distance` exactly.
+    The cohort is encoded once as integer ids into a table of code-level
+    distances, so ``code_distance`` runs once per pair of distinct
+    renderings.  Patients are then grouped into buckets by trajectory
+    length.  For each pair of buckets, every position of one side takes the
+    cheapest code of the other side's clamped window (up to three positions)
+    with one gather per window position over all patient pairs at once.
+    Temporaries are bounded by the size of one bucket pair.  Entries equal
+    :func:`trajectory_distance` exactly.
     """
     if not patients:
         raise DataError("cohort is empty")
@@ -172,8 +188,8 @@ def distance_matrix(
 
     vocab: dict[str, int] = {}
     reps: list[StayCode] = []
-    encoded: list[list[int]] = []
-    for p in patients:
+    buckets: dict[int, tuple[list[int], list[list[int]]]] = {}
+    for index, p in enumerate(patients):
         row = []
         for c in p.codes:
             key = c.render()
@@ -183,28 +199,24 @@ def distance_matrix(
                 vocab[key] = idx
                 reps.append(c)
             row.append(idx)
-        encoded.append(row)
-
-    u = len(reps)
-    table = [[0.0] * u for _ in range(u)]
-    for i in range(u):
-        for j in range(i + 1, u):
-            d = code_distance(reps[i], reps[j], weights)
-            table[i][j] = d
-            table[j][i] = d
+        members, rows = buckets.setdefault(len(row), ([], []))
+        members.append(index)
+        rows.append(row)
+    table = _code_table(reps, weights)
+    groups = [
+        (np.array(members), np.array(rows, dtype=np.intp))
+        for members, rows in buckets.values()
+    ]
 
     n = len(patients)
     out = np.zeros((n, n))
-    for i in range(n):
-        ei = encoded[i]
-        for j in range(i + 1, n):
-            ej = encoded[j]
-            d = 0.5 * (
-                _directed_sum_cached(ei, ej, table)
-                + _directed_sum_cached(ej, ei, table)
-            )
-            out[i, j] = d
-            out[j, i] = d
+    for g, (idx_a, codes_a) in enumerate(groups):
+        for idx_b, codes_b in groups[g:]:
+            ab = _directed_sums(table, codes_a, codes_b)
+            ba = ab if idx_b is idx_a else _directed_sums(table, codes_b, codes_a)
+            block = 0.5 * (ab + ba.T)
+            out[np.ix_(idx_a, idx_b)] = block
+            out[np.ix_(idx_b, idx_a)] = block.T
     return out
 
 

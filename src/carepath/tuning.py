@@ -126,13 +126,19 @@ def tune_search(
 ) -> tuple[TrialRecord, list[TrialRecord]]:
     """Random search over weights and cluster count; returns (best, full log).
 
-    ``db`` must align with ``patients`` index by index.  Ties on the score
-    go to the earliest trial.
+    ``db`` must align with ``patients`` index by index.  The cohort needs
+    at least ``K_MAX`` patients, so that every sampled cluster count fits.
+    Ties on the score go to the earliest trial.
     """
     if budget < 1:
         raise DataError("budget must be >= 1")
     if len(db) != len(patients):
         raise DataError("db and patients must align")
+    if len(patients) < K_MAX:
+        raise DataError(
+            f"tuning samples up to k={K_MAX} clusters and needs at least "
+            f"{K_MAX} patients, got {len(patients)}"
+        )
     log: list[TrialRecord] = []
     for trial in range(budget):
         rng = np.random.default_rng([seed, trial])

@@ -9,6 +9,7 @@ from itertools import combinations
 import numpy as np
 
 from carepath.codes import DEATH, StayCode
+from carepath.kmedoids import Clustering
 from carepath.metric import MetricWeights, PatientTrajectory
 from carepath.synthetic import ArchetypeSpec
 
@@ -90,6 +91,65 @@ def oracle_trajectory_distance(
         return total
 
     return (directed(a.codes, b.codes) + directed(b.codes, a.codes)) / 2.0
+
+
+def oracle_fit_kmedoids(matrix, k: int, seed: int, max_iter: int = 100) -> Clustering:
+    """Plain first-improvement PAM: every candidate swap is scored in full.
+
+    Same seeding, scan order and tie rules as ``fit_kmedoids``, so the two
+    must agree exactly, including ``td_history``.
+    """
+    m = np.asarray(matrix, dtype=float)
+    n = m.shape[0]
+
+    def total_distance(medoids) -> float:
+        return float(m[:, medoids].min(axis=1).sum())
+
+    rng = np.random.default_rng(seed)
+    medoids = np.sort(rng.choice(n, size=k, replace=False))
+    td = total_distance(medoids)
+    initial_total = td
+    history: list[float] = []
+
+    converged = False
+    for _ in range(max_iter):
+        improved = False
+        medoids = np.sort(medoids)
+        for slot in range(k):
+            current = set(medoids.tolist())
+            for p in range(n):
+                if p in current:
+                    continue
+                candidate = medoids.copy()
+                candidate[slot] = p
+                cand_td = total_distance(candidate)
+                if cand_td < td:
+                    medoids = candidate
+                    td = cand_td
+                    history.append(td)
+                    current = set(medoids.tolist())
+                    improved = True
+        if not improved:
+            converged = True
+            break
+
+    medoids = np.sort(medoids)
+    cols = m[:, medoids]
+    assignment = cols.argmin(axis=1)
+    for cid, mi in enumerate(medoids):
+        assignment[mi] = cid
+    dist = cols[np.arange(n), assignment]
+    return Clustering(
+        k=k,
+        medoid_indices=tuple(int(x) for x in medoids),
+        assignment=assignment.astype(int),
+        distance_to_medoid=dist,
+        total_distance=float(dist.sum()),
+        initial_total=initial_total,
+        td_history=tuple(history),
+        converged=converged,
+        seed=seed,
+    )
 
 
 def oracle_pattern_supports(db, max_len: int) -> dict[tuple[str, ...], int]:

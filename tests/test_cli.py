@@ -37,6 +37,20 @@ class TestExitCodes:
     def test_missing_input_file_is_a_data_error(self, tmp_path):
         assert cli.main(["mine", "--trajectories", str(tmp_path / "nope.csv")]) == 2
 
+    def test_run_into_an_existing_file_is_a_data_error(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("not a directory\n")
+        assert cli.main(["run", "--synth", "30", "--out", str(target)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_dist_into_an_existing_directory_is_a_data_error(self, tmp_path, capsys):
+        out = synth_dir(tmp_path, n=20)
+        code = cli.main(
+            ["dist", "--trajectories", str(out / "trajectories.csv"), "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_numeric_failures_map_to_exit_3(self, monkeypatch):
         def boom(args):
             raise NumericError("unstable")

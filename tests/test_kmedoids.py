@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import helpers
 from carepath.errors import DataError
 from carepath.kmedoids import fit_kmedoids, medoid_profile
-from carepath.metric import MetricWeights, PatientTrajectory
+from carepath.metric import MetricWeights, PatientTrajectory, distance_matrix
 from carepath.codes import parse_code
+from carepath.synthetic import generate_cohort
 
 WEIGHTS = MetricWeights(85, 75, 55, 40)
 
@@ -92,6 +94,44 @@ def test_assignment_tie_goes_to_lower_medoid_index():
         assert fitted.medoid_indices[1] in (3, 4)
         assert fitted.assignment[2] == 0
         assert fitted.distance_to_medoid[2] == 5.0
+
+
+def _assert_same_fit(got, want):
+    assert got.medoid_indices == want.medoid_indices
+    assert got.td_history == want.td_history
+    assert got.converged == want.converged
+    assert got.initial_total == want.initial_total
+    assert got.total_distance == want.total_distance
+    assert np.array_equal(got.assignment, want.assignment)
+    assert np.array_equal(got.distance_to_medoid, want.distance_to_medoid)
+
+
+@pytest.mark.parametrize("cohort_seed", [3, 8])
+def test_matches_plain_pam_oracle_on_synthetic_cohorts(cohort_seed):
+    trajectories, _, _ = generate_cohort(n_patients=90, seed=cohort_seed)
+    m = distance_matrix(trajectories, WEIGHTS)
+    n = m.shape[0]
+    for k in (1, 2, 5, 20, n):
+        for seed in range(3):
+            _assert_same_fit(
+                fit_kmedoids(m, k, seed=seed), helpers.oracle_fit_kmedoids(m, k, seed=seed)
+            )
+
+
+def test_matches_plain_pam_oracle_with_duplicate_points():
+    # every point appears two or three times at distance zero, so many swaps
+    # tie; n is larger than one screen block so ties also straddle block edges
+    rng = np.random.default_rng(5)
+    base = np.round(_random_matrix(rng, 150))
+    copies = np.concatenate([np.arange(150), np.arange(150), rng.integers(0, 150, size=60)])
+    rng.shuffle(copies)
+    m = base[np.ix_(copies, copies)]
+    assert np.any(m[~np.eye(len(copies), dtype=bool)] == 0.0)
+    for k in (1, 2, 5, 20, len(copies)):
+        for seed in range(3):
+            _assert_same_fit(
+                fit_kmedoids(m, k, seed=seed), helpers.oracle_fit_kmedoids(m, k, seed=seed)
+            )
 
 
 def test_validation_errors():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
-from carepath.codes import DEATH, parse_code
+from carepath.codes import DEATH, StayCode, parse_code
 from carepath.errors import DataError
 from carepath.metric import (
     MetricWeights,
@@ -162,6 +164,66 @@ class TestDistanceMatrix:
         pair = [_traj("A", "05M092"), _traj("A", "04M052")]
         with pytest.raises(DataError):
             distance_matrix(pair, WEIGHTS)
+
+
+# a small code alphabet, so cohorts share codes and windows tie often
+_codes = st.builds(
+    StayCode,
+    category=st.sampled_from(["05", "04", "11", "50"]),
+    care_type=st.sampled_from(list(helpers.CARE_TYPES)),
+    counter=st.sampled_from(["09", "05", "90"]),
+    severity=st.sampled_from(list(helpers.SEVERITIES)),
+)
+_weights = st.lists(st.integers(0, 100), min_size=4, max_size=4).map(
+    lambda w: MetricWeights(*sorted(w, reverse=True))
+)
+
+
+@st.composite
+def _cohorts(draw, lengths=st.integers(1, 6), sizes=st.integers(1, 12)):
+    cohort = []
+    for index in range(draw(sizes)):
+        length = draw(lengths)
+        codes = draw(st.lists(_codes, min_size=length, max_size=length))
+        if draw(st.booleans()):
+            codes = codes[:-1] + [DEATH]  # a terminal death, or death alone
+        cohort.append(PatientTrajectory(f"P{index}", tuple(codes)))
+    return cohort
+
+
+@st.composite
+def _uniform_cohorts(draw):
+    length = draw(st.integers(1, 6))
+    return draw(_cohorts(lengths=st.just(length)))
+
+
+def _assert_matches_pairwise(cohort, weights):
+    want = np.array([[trajectory_distance(a, b, weights) for b in cohort] for a in cohort])
+    assert np.array_equal(distance_matrix(cohort, weights), want)
+
+
+class TestDistanceMatrixProperties:
+    """``distance_matrix`` against pairwise ``trajectory_distance``, exactly."""
+
+    @settings(deadline=None, database=None)
+    @given(_cohorts(), _weights)
+    def test_mixed_lengths(self, cohort, weights):
+        _assert_matches_pairwise(cohort, weights)
+
+    @settings(deadline=None, database=None)
+    @given(_uniform_cohorts(), _weights)
+    def test_all_patients_the_same_length(self, cohort, weights):
+        _assert_matches_pairwise(cohort, weights)
+
+    @settings(deadline=None, database=None)
+    @given(_cohorts(lengths=st.just(1)), _weights)
+    def test_length_one_trajectories(self, cohort, weights):
+        _assert_matches_pairwise(cohort, weights)
+
+    @settings(deadline=None, database=None)
+    @given(_cohorts(sizes=st.just(1)), _weights)
+    def test_single_patient(self, cohort, weights):
+        _assert_matches_pairwise(cohort, weights)
 
 
 class TestMatrixSerialization:

@@ -114,6 +114,16 @@ class TestTuneSearch:
         with pytest.raises(DataError):
             tune_search(patients, db[:-1], budget=1, seed=0)
 
+    def test_cohort_smaller_than_k_max_rejected_up_front(self, cohort):
+        patients, db = cohort
+        small = K_MAX - 8
+        # every seed fails the same way, before any trial is drawn
+        for seed in range(5):
+            with pytest.raises(DataError, match=f"at least {K_MAX} patients, got {small}"):
+                tune_search(patients[:small], db[:small], budget=4, seed=seed)
+        _, log = tune_search(patients[:K_MAX], db[:K_MAX], budget=2, seed=0)
+        assert len(log) == 2
+
     def test_trial_log_round_trip(self, cohort, tmp_path):
         patients, db = cohort
         _, log = tune_search(patients, db, budget=2, seed=3)
