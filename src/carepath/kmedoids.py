@@ -24,7 +24,7 @@ from .metric import MetricWeights, PatientTrajectory, code_distance
 
 DEFAULT_MAX_SWEEPS = 100
 # cells per candidate block of the swap screen, which bounds its scratch memory
-_BLOCK_CELLS = 1 << 16
+_BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)

@@ -135,17 +135,6 @@ def trajectory_distance(
     )
 
 
-def _code_table(reps: Sequence[StayCode], weights: MetricWeights) -> np.ndarray:
-    u = len(reps)
-    table = [[0.0] * u for _ in range(u)]
-    for i in range(u):
-        for j in range(i + 1, u):
-            d = code_distance(reps[i], reps[j], weights)
-            table[i][j] = d
-            table[j][i] = d
-    return np.array(table, dtype=float).reshape(u, u)
-
-
 def _directed_sums(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """``out[a, b]`` is the directed windowed sum from ``rows[a]`` to ``cols[b]``.
 
@@ -177,8 +166,8 @@ def distance_matrix(
     length.  For each pair of buckets, every position of one side takes the
     cheapest code of the other side's clamped window (up to three positions)
     with one gather per window position over all patient pairs at once.
-    Temporaries are bounded by the size of one bucket pair.  Entries equal
-    :func:`trajectory_distance` exactly.
+    Each temporary holds one bucket pair, or one bucket's rows of the code
+    table.  Entries equal :func:`trajectory_distance` exactly.
     """
     if not patients:
         raise DataError("cohort is empty")
@@ -202,7 +191,12 @@ def distance_matrix(
         members, rows = buckets.setdefault(len(row), ([], []))
         members.append(index)
         rows.append(row)
-    table = _code_table(reps, weights)
+
+    u = len(reps)
+    table = np.zeros((u, u))
+    for i in range(u):
+        for j in range(i + 1, u):
+            table[i, j] = table[j, i] = code_distance(reps[i], reps[j], weights)
     groups = [
         (np.array(members), np.array(rows, dtype=np.intp))
         for members, rows in buckets.values()
