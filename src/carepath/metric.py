@@ -9,9 +9,9 @@ so the result is symmetric.
 
 The cohort matrix is array-native: trajectories are encoded once as integer
 ids into a table of code distances and grouped into buckets by length, and
-each pair of buckets is scored with gathers on that table.  It adds the
-window minima in the same order as :func:`trajectory_distance`, which stays
-as the plain reference, so the two agree bit for bit.
+each pair of buckets is scored in bounded chunks with gathers on that table.
+It adds the window minima in the same order as :func:`trajectory_distance`,
+which stays as the plain reference, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from .errors import DataError
 from .levenshtein import levenshtein_ratio
 
 MAX_WEIGHT = 100
+# cells per temporary of the matrix pass, which bounds its scratch memory
+_BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -166,8 +168,9 @@ def distance_matrix(
     length.  For each pair of buckets, every position of one side takes the
     cheapest code of the other side's clamped window (up to three positions)
     with one gather per window position over all patient pairs at once.
-    Each temporary holds one bucket pair, or one bucket's rows of the code
-    table.  Entries equal :func:`trajectory_distance` exactly.
+    Large buckets are taken in row chunks, so every temporary is bounded by
+    a fixed cell count (or one chunk's rows of the code table), whatever the
+    cohort size.  Entries equal :func:`trajectory_distance` exactly.
     """
     if not patients:
         raise DataError("cohort is empty")
@@ -206,11 +209,19 @@ def distance_matrix(
     out = np.zeros((n, n))
     for g, (idx_a, codes_a) in enumerate(groups):
         for idx_b, codes_b in groups[g:]:
-            ab = _directed_sums(table, codes_a, codes_b)
-            ba = ab if idx_b is idx_a else _directed_sums(table, codes_b, codes_a)
-            block = 0.5 * (ab + ba.T)
-            out[np.ix_(idx_a, idx_b)] = block
-            out[np.ix_(idx_b, idx_a)] = block.T
+            # rows of the first bucket go in chunks that bound every
+            # temporary; within one bucket a chunk pairs only with itself
+            # and the rows after it, so no two chunks are scored twice
+            same = idx_b is idx_a
+            step = max(1, _BLOCK_CELLS // len(idx_b))
+            for start in range(0, len(idx_a), step):
+                chunk = slice(start, start + step)
+                rest = slice(start if same else 0, None)
+                ab = _directed_sums(table, codes_a[chunk], codes_b[rest])
+                ba = _directed_sums(table, codes_b[rest], codes_a[chunk])
+                block = 0.5 * (ab + ba.T)
+                out[np.ix_(idx_a[chunk], idx_b[rest])] = block
+                out[np.ix_(idx_b[rest], idx_a[chunk])] = block.T
     return out
 
 

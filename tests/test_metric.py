@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from carepath import metric
 from carepath.codes import DEATH, StayCode, parse_code
 from carepath.errors import DataError
 from carepath.metric import (
@@ -197,33 +200,40 @@ def _uniform_cohorts(draw):
     return draw(_cohorts(lengths=st.just(length)))
 
 
-def _assert_matches_pairwise(cohort, weights):
+# temporary sizes for the matrix pass: one-row chunks, chunk edges inside a
+# bucket, and the default where every bucket pair is one chunk
+_block_cells = st.sampled_from([1, 7, metric._BLOCK_CELLS])
+
+
+def _assert_matches_pairwise(cohort, weights, cells):
     want = np.array([[trajectory_distance(a, b, weights) for b in cohort] for a in cohort])
-    assert np.array_equal(distance_matrix(cohort, weights), want)
+    with mock.patch.object(metric, "_BLOCK_CELLS", cells):
+        got = distance_matrix(cohort, weights)
+    assert np.array_equal(got, want)
 
 
 class TestDistanceMatrixProperties:
     """``distance_matrix`` against pairwise ``trajectory_distance``, exactly."""
 
     @settings(deadline=None, database=None)
-    @given(_cohorts(), _weights)
-    def test_mixed_lengths(self, cohort, weights):
-        _assert_matches_pairwise(cohort, weights)
+    @given(_cohorts(), _weights, _block_cells)
+    def test_mixed_lengths(self, cohort, weights, cells):
+        _assert_matches_pairwise(cohort, weights, cells)
 
     @settings(deadline=None, database=None)
-    @given(_uniform_cohorts(), _weights)
-    def test_all_patients_the_same_length(self, cohort, weights):
-        _assert_matches_pairwise(cohort, weights)
+    @given(_uniform_cohorts(), _weights, _block_cells)
+    def test_all_patients_the_same_length(self, cohort, weights, cells):
+        _assert_matches_pairwise(cohort, weights, cells)
 
     @settings(deadline=None, database=None)
-    @given(_cohorts(lengths=st.just(1)), _weights)
-    def test_length_one_trajectories(self, cohort, weights):
-        _assert_matches_pairwise(cohort, weights)
+    @given(_cohorts(lengths=st.just(1)), _weights, _block_cells)
+    def test_length_one_trajectories(self, cohort, weights, cells):
+        _assert_matches_pairwise(cohort, weights, cells)
 
     @settings(deadline=None, database=None)
-    @given(_cohorts(sizes=st.just(1)), _weights)
-    def test_single_patient(self, cohort, weights):
-        _assert_matches_pairwise(cohort, weights)
+    @given(_cohorts(sizes=st.just(1)), _weights, _block_cells)
+    def test_single_patient(self, cohort, weights, cells):
+        _assert_matches_pairwise(cohort, weights, cells)
 
 
 class TestMatrixSerialization:
