@@ -119,7 +119,7 @@ def test_matches_plain_pam_oracle_on_synthetic_cohorts(cohort_seed):
 
 
 def test_matches_plain_pam_oracle_with_duplicate_points():
-    # every point appears two or three times at distance zero, so many swaps
+    # every point appears at least twice at distance zero, so many swaps
     # tie; n is larger than one screen block so ties also straddle block edges
     rng = np.random.default_rng(5)
     base = np.round(_random_matrix(rng, 150))
