@@ -23,7 +23,7 @@ from .errors import DataError
 from .metric import MetricWeights, PatientTrajectory, code_distance
 
 DEFAULT_MAX_SWEEPS = 100
-# cells per candidate block of the swap screen, which bounds its scratch memory
+# cells per candidate block of the swap screen, which bounds its working memory
 _BLOCK_CELLS = 1 << 14
 
 

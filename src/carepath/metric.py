@@ -28,7 +28,7 @@ from .errors import DataError
 from .levenshtein import levenshtein_ratio
 
 MAX_WEIGHT = 100
-# cells per temporary of the matrix pass, which bounds its scratch memory
+# cells per temporary of the matrix pass, which bounds its working memory
 _BLOCK_CELLS = 1 << 14
 
 
