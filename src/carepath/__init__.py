@@ -13,7 +13,7 @@ from .metric import (
     distance_matrix,
     trajectory_distance,
 )
-from .patterns import MinedPattern, MiningConfig, frequent_patterns, support, topk
+from .patterns import MinedPattern, MiningConfig, frequent_patterns, support
 from .pipeline import PipelineConfig, run_pipeline
 from .survival import (
     CoxModel,
@@ -72,7 +72,6 @@ __all__ = [
     "run_pipeline",
     "scenario_curves",
     "support",
-    "topk",
     "trajectory_distance",
     "tune_search",
 ]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import sys
 from pathlib import Path
@@ -25,6 +26,8 @@ from .pipeline import (
     holdout_rsf,
     run_pipeline,
     sankey_flows,
+    write_assignments_csv,
+    write_sankey_csv,
 )
 from .synthetic import generate_cohort
 from .tuning import tune_search, write_trial_log
@@ -132,7 +135,10 @@ _CONFIG_FIELDS = {
     ("data", "synth_patients"): ("synth_patients", int),
     ("data", "synth_max_len"): ("synth_max_len", int),
     ("data", "horizon_days"): ("horizon_days", float),
-    ("metric", "weights"): ("weights", "weights"),
+    ("metric", "weights"): (
+        "weights",
+        lambda raw: MetricWeights.from_sequence([int(p) for p in raw.split(",")]),
+    ),
     ("metric", "tune_budget"): ("tune_budget", int),
     ("cluster", "k"): ("k", int),
     ("mining", "min_support"): ("min_support", int),
@@ -150,34 +156,35 @@ _CONFIG_FIELDS = {
 
 def apply_config_file(cfg: PipelineConfig, path: str) -> None:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        entries = [
+            (section, key, raw)
+            for section in parser.sections()
+            for key, raw in parser.items(section)
+        ]
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot parse config file {path!r}: {exc}") from None
     if not read:
         raise DataError(f"cannot read config file {path!r}")
-    for section in parser.sections():
-        for key, raw in parser.items(section):
-            spec = _CONFIG_FIELDS.get((section, key))
-            if spec is None:
-                raise DataError(f"{path}: unknown config key [{section}] {key}")
-            field, kind = spec
-            raw = raw.strip()
-            if raw == "":
-                continue
-            if kind == "weights":
-                value = MetricWeights.from_sequence(
-                    [int(p) for p in raw.split(",")]
-                )
-            elif kind is bool:
-                if raw.lower() not in ("true", "false"):
-                    raise DataError(f"{path}: [{section}] {key} must be true or false")
-                value = raw.lower() == "true"
-            else:
-                try:
-                    value = kind(raw)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: bad value {raw!r} for [{section}] {key}"
-                    ) from None
-            setattr(cfg, field, value)
+    for section, key, raw in entries:
+        spec = _CONFIG_FIELDS.get((section, key))
+        if spec is None:
+            raise DataError(f"{path}: unknown config key [{section}] {key}")
+        field, kind = spec
+        raw = raw.strip()
+        if raw == "":
+            continue
+        if kind is bool:
+            if raw.lower() not in ("true", "false"):
+                raise DataError(f"{path}: [{section}] {key} must be true or false")
+            value = raw.lower() == "true"
+        else:
+            try:
+                value = kind(raw)
+            except ValueError:
+                raise DataError(f"{path}: bad value {raw!r} for [{section}] {key}") from None
+        setattr(cfg, field, value)
 
 
 def _cmd_synth(args) -> int:
@@ -210,13 +217,8 @@ def _cmd_mine(args) -> int:
         [m.support, f"{m.support / len(db):.6f}", render_pattern(m.pattern)]
         for m in mined
     ]
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("count", "frequency", "pattern"))
-            writer.writerows(rows)
-    else:
-        writer = csv.writer(sys.stdout)
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh)
         writer.writerow(("count", "frequency", "pattern"))
         writer.writerows(rows)
     return 0
@@ -235,19 +237,7 @@ def _cmd_cluster(args) -> int:
     trajectories = load_trajectories(args.trajectories)
     matrix = distance_matrix(trajectories, args.weights)
     fit = fit_kmedoids(matrix, args.k, seed=args.seed)
-    medoids = set(fit.medoid_indices)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("patient_id", "cluster", "distance_to_medoid", "is_medoid"))
-        for i, t in enumerate(trajectories):
-            writer.writerow(
-                [
-                    t.patient_id,
-                    int(fit.assignment[i]),
-                    repr(float(fit.distance_to_medoid[i])),
-                    1 if i in medoids else 0,
-                ]
-            )
+    write_assignments_csv(args.out, [t.patient_id for t in trajectories], fit)
     print(f"total distance {fit.total_distance!r} over {fit.k} clusters")
     return 0
 
@@ -310,14 +300,7 @@ def _cmd_run(args) -> int:
 def _cmd_export_sankey(args) -> int:
     trajectories = load_trajectories(args.trajectories)
     pairs = [(i, i + 1) for i in range(args.pairs)]
-    edges = sankey_flows(trajectories, pairs, args.top_k)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("source_pos", "source_code", "target_pos", "target_code", "count"))
-        for e in edges:
-            writer.writerow(
-                [e.source_pos, e.source_code, e.target_pos, e.target_code, e.count]
-            )
+    write_sankey_csv(args.out, sankey_flows(trajectories, pairs, args.top_k))
     return 0
 
 

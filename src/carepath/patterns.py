@@ -103,40 +103,6 @@ def _mine(seqs, projection, prefix, cfg, out) -> None:
         _mine(seqs, narrowed, pattern, cfg, out)
 
 
-def topk(
-    db: Sequence[Sequence[str]],
-    k: int,
-    min_len: int = 1,
-    max_len: int | None = None,
-) -> list[MinedPattern]:
-    """The ``k`` highest-support patterns of length >= ``min_len``.
-
-    Ties resolve lexicographically; equivalent to mining at support
-    threshold 1 and truncating.
-    """
-    if k < 0:
-        raise DataError("k must be >= 0")
-    if k == 0:
-        return []
-    if max_len is None:
-        max_len = max((len(seq) for seq in db), default=min_len)
-    cfg = MiningConfig(
-        min_support=1, min_len=min_len, max_len=max(max_len, min_len), top_k=k
-    )
-    return frequent_patterns(db, cfg)
-
-
 def render_pattern(pattern: Pattern) -> str:
     return "[" + ", ".join(f"'{item}'" for item in pattern) + "]"
 
-
-def report_rows(
-    label: str, patterns: Sequence[MinedPattern], n_sequences: int
-) -> list[tuple[str, int, str, str]]:
-    """Rows shaped like the cluster pattern tables: label, count, frequency, pattern."""
-    if n_sequences < 1:
-        raise DataError("report needs a non-empty sequence set")
-    return [
-        (label, m.support, f"{m.support / n_sequences:.6f}", render_pattern(m.pattern))
-        for m in patterns
-    ]

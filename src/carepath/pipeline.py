@@ -15,6 +15,7 @@ import configparser
 import csv
 import platform
 import shutil
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -32,7 +33,7 @@ from .metric import (
     save_matrix_binary,
     save_matrix_csv,
 )
-from .patterns import MinedPattern, MiningConfig, frequent_patterns, render_pattern, topk
+from .patterns import MinedPattern, MiningConfig, frequent_patterns, render_pattern
 from .survival import (
     SurvivalRecord,
     c_index,
@@ -98,6 +99,8 @@ class PipelineConfig:
             raise DataError("test_size must be in (0, 1)")
         if self.trees < 1:
             raise DataError("trees must be >= 1")
+        if self.mtry is not None and self.mtry < 1:
+            raise DataError("mtry must be >= 1")
         if self.positions < 1 or self.sankey_pairs < 0:
             raise DataError("bad report geometry")
 
@@ -160,33 +163,28 @@ def sankey_flows(
 
     For each (i, i+1) pair, every trajectory with an i-th stay contributes
     the ordered pair of renderings, with a missing successor encoded as the
-    ``none`` token; the ``top_k`` bigrams by count are kept per pair.
+    ``none`` token; the ``top_k`` bigrams by count are kept per pair, ties
+    broken by ascending ``(source, target)``.
     """
+    if top_k < 0:
+        raise DataError("top_k must be >= 0")
     edges: list[SankeyEdge] = []
     for source_pos, target_pos in position_pairs:
         if target_pos != source_pos + 1 or source_pos < 0:
             raise DataError(f"position pair {(source_pos, target_pos)} is not consecutive")
-        corpus = []
-        for t in trajectories:
-            if len(t.codes) <= source_pos:
-                continue
-            source = t.codes[source_pos].render()
-            target = (
-                t.codes[target_pos].render()
-                if len(t.codes) > target_pos
-                else NONE_TOKEN
+        counts = Counter(
+            (
+                t.codes[source_pos].render(),
+                t.codes[target_pos].render() if len(t.codes) > target_pos else NONE_TOKEN,
             )
-            corpus.append([source, target])
-        for mined in topk(corpus, top_k, min_len=2):
-            edges.append(
-                SankeyEdge(
-                    source_pos=source_pos,
-                    source_code=mined.pattern[0],
-                    target_pos=target_pos,
-                    target_code=mined.pattern[1],
-                    count=mined.support,
-                )
-            )
+            for t in trajectories
+            if len(t.codes) > source_pos
+        )
+        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
+        edges.extend(
+            SankeyEdge(source_pos, source, target_pos, target, count)
+            for (source, target), count in ranked
+        )
     return edges
 
 
@@ -223,6 +221,34 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
 
 def _fmt(value: float | None) -> str:
     return "" if value is None else repr(float(value))
+
+
+def write_assignments_csv(path, patient_ids: Sequence[str], clustering: Clustering) -> None:
+    medoids = set(clustering.medoid_indices)
+    _write_csv(
+        path,
+        ("patient_id", "cluster", "distance_to_medoid", "is_medoid"),
+        (
+            [
+                pid,
+                int(clustering.assignment[i]),
+                repr(float(clustering.distance_to_medoid[i])),
+                1 if i in medoids else 0,
+            ]
+            for i, pid in enumerate(patient_ids)
+        ),
+    )
+
+
+def write_sankey_csv(path, edges: Sequence[SankeyEdge]) -> None:
+    _write_csv(
+        path,
+        ("source_pos", "source_code", "target_pos", "target_code", "count"),
+        (
+            [e.source_pos, e.source_code, e.target_pos, e.target_code, e.count]
+            for e in edges
+        ),
+    )
 
 
 def write_frequency_csv(path: Path, table: FrequencyTable) -> None:
@@ -333,20 +359,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         # --- clustering ----------------------------------------------
         stage = "clustering"
         clustering = fit_kmedoids(matrix, k, seed=_derived_seed(cfg.seed, 1))
-        medoid_set = set(clustering.medoid_indices)
-        _write_csv(
-            out / "assignments.csv",
-            ("patient_id", "cluster", "distance_to_medoid", "is_medoid"),
-            (
-                [
-                    patient_ids[i],
-                    int(clustering.assignment[i]),
-                    repr(float(clustering.distance_to_medoid[i])),
-                    1 if i in medoid_set else 0,
-                ]
-                for i in range(len(patient_ids))
-            ),
-        )
+        write_assignments_csv(out / "assignments.csv", patient_ids, clustering)
 
         members: dict[int, list[int]] = {c: [] for c in range(k)}
         for i, label in enumerate(clustering.assignment):
@@ -385,14 +398,9 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         pairs = [(i, i + 1) for i in range(cfg.sankey_pairs)]
         for cid in range(k):
             cluster_traj = [trajectories[i] for i in members[cid]]
-            edges = sankey_flows(cluster_traj, pairs, cfg.top_k)
-            _write_csv(
+            write_sankey_csv(
                 out / f"sankey_cluster_{cid}.csv",
-                ("source_pos", "source_code", "target_pos", "target_code", "count"),
-                (
-                    [e.source_pos, e.source_code, e.target_pos, e.target_code, e.count]
-                    for e in edges
-                ),
+                sankey_flows(cluster_traj, pairs, cfg.top_k),
             )
 
         # --- medoid profiles -----------------------------------------
@@ -414,8 +422,16 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         metrics: list[ClusterMetrics] = []
         for cid in range(k):
             cluster_records = [records[i] for i in members[cid]]
-            aic = _cluster_cox_aic(cluster_records, cfg)
-            cidx, forest = _cluster_rsf_cindex(cluster_records, cfg, cid)
+            aic = cohort_cox_aic(cluster_records, cfg.use_age, cfg.reference_year)
+            cidx, forest = holdout_rsf(
+                cluster_records,
+                trees=cfg.trees,
+                mtry=cfg.mtry,
+                seed=_derived_seed(cfg.seed, 3, cid),
+                test_size=cfg.test_size,
+                use_age=cfg.use_age,
+                reference_year=cfg.reference_year,
+            )
             metrics.append(ClusterMetrics(cid, len(cluster_records), aic, cidx))
             if forest is not None:
                 best, worst = scenario_curves(forest, cluster_records)
@@ -488,8 +504,11 @@ def holdout_rsf(
     """Forest on a seeded train split, concordance on the held-out rest.
 
     Returns ``(c_index, forest)``, or ``(None, None)`` when the group is
-    too small or the statistic is undefined on the holdout.
+    too small or the statistic is undefined on the holdout.  Bad forest
+    settings raise :class:`DataError`.
     """
+    if not 0.0 < test_size < 1.0:
+        raise DataError("test_size must be in (0, 1)")
     m = len(records)
     if m < 4:
         return None, None
@@ -507,25 +526,9 @@ def holdout_rsf(
         )
         risks = rsf_risk_scores(forest, test)
         value = c_index(risks, test)
-    except (DataError, NumericError):
+    except NumericError:
         return None, None
     return value, forest
-
-
-def _cluster_cox_aic(records: list[SurvivalRecord], cfg: PipelineConfig) -> float | None:
-    return cohort_cox_aic(records, cfg.use_age, cfg.reference_year)
-
-
-def _cluster_rsf_cindex(records: list[SurvivalRecord], cfg: PipelineConfig, cid: int):
-    return holdout_rsf(
-        records,
-        trees=cfg.trees,
-        mtry=cfg.mtry,
-        seed=_derived_seed(cfg.seed, 3, cid),
-        test_size=cfg.test_size,
-        use_age=cfg.use_age,
-        reference_year=cfg.reference_year,
-    )
 
 
 def _write_manifest(

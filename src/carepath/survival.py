@@ -16,13 +16,6 @@ import numpy as np
 
 from .errors import DataError, NumericError
 
-COVARIATE_NAMES = (
-    "birth_year",
-    "sex",
-    "n_hospitalizations",
-    "shock_flag",
-    "total_stay_days",
-)
 DEFAULT_REFERENCE_YEAR = 2016
 SEPARATION_BOUND = 50.0
 DEFAULT_MIN_SAMPLES_SPLIT = 10

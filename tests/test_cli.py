@@ -178,6 +178,24 @@ class TestCommands:
         assert "cox_aic" in text
         assert "rsf_c_index" in text
 
+    @pytest.mark.parametrize(
+        "flags", [["--trees", "0"], ["--mtry", "0"], ["--test-size", "1.5"]]
+    )
+    def test_survival_rejects_bad_forest_settings(self, tmp_path, capsys, flags):
+        out = synth_dir(tmp_path, n=60)
+        code = cli.main(
+            [
+                "survival",
+                "--trajectories",
+                str(out / "trajectories.csv"),
+                "--covariates",
+                str(out / "covariates.csv"),
+            ]
+            + flags
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_export_sankey(self, tmp_path):
         out = synth_dir(tmp_path)
         target = tmp_path / "sankey.csv"
@@ -243,6 +261,31 @@ class TestRunCommand:
 
     def test_unreadable_config_is_a_data_error(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "none.ini")]) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"[metric]\nweights = a,b,c,d\n",
+            b"seed = 1\n",
+            b"[run]\nseed = 1\nseed = 2\n",
+            b"[run]\nout = 100%done\n",
+            b"\xff\xfe[run]\n",
+        ],
+        ids=["weights", "no-section", "duplicate-key", "interpolation", "not-utf8"],
+    )
+    def test_malformed_config_is_a_data_error(self, tmp_path, capsys, text):
+        config = tmp_path / "run.ini"
+        config.write_bytes(text)
+        assert cli.main(["run", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_zero_mtry_fails_before_writing(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text("[data]\nsynth_patients = 30\n\n[survival]\nmtry = 0\n")
+        out = tmp_path / "artifacts"
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert "mtry" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_conflicting_sources_fail(self, tmp_path):
         code = cli.main(

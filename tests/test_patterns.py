@@ -3,13 +3,10 @@ import pytest
 
 from carepath.errors import DataError
 from carepath.patterns import (
-    MinedPattern,
     MiningConfig,
     frequent_patterns,
     render_pattern,
-    report_rows,
     support,
-    topk,
 )
 from helpers import oracle_pattern_supports
 
@@ -31,15 +28,6 @@ def test_worked_example_supports():
 def test_worked_example_order():
     mined = frequent_patterns(DB, MiningConfig(min_support=2, max_len=3))
     assert [p.pattern for p in mined] == [("c",), ("a",), ("a", "c"), ("b",), ("b", "c")]
-
-
-def test_topk_two_element_patterns():
-    got = topk(DB, k=2, min_len=2, max_len=2)
-    assert [p.pattern for p in got] == [("a", "c"), ("b", "c")]
-
-
-def test_topk_zero_returns_nothing():
-    assert topk(DB, k=0) == []
 
 
 def test_support_counts_sequences_not_embeddings():
@@ -117,8 +105,3 @@ def test_top_k_truncates_sorted_output():
 
 def test_render_pattern():
     assert render_pattern(("a", "b")) == "['a', 'b']"
-
-
-def test_report_rows_shape():
-    rows = report_rows("all", [MinedPattern(("a", "c"), 2)], n_sequences=3)
-    assert rows == [("all", 2, "0.666667", "['a', 'c']")]

@@ -109,6 +109,36 @@ class TestSankeyFlows:
         edges = sankey_flows(trajectories, [(0, 1)], top_k=2)
         assert len(edges) == 2
 
+    def test_ties_rank_by_source_then_target(self):
+        trajectories = [
+            _traj("A1", "05M092", "04M052"),
+            _traj("A2", "05M092", "04M052"),
+            _traj("B1", "05M091", "04M051"),
+            _traj("B2", "05M091", "04M051"),
+            _traj("C1", "05M091", "04M133"),
+            _traj("C2", "05M091", "04M133"),
+            _traj("D", "05M093"),
+            _traj("E", "04M052", "Death"),
+        ]
+        edges = sankey_flows(trajectories, [(0, 1), (1, 2)], top_k=2)
+        assert [
+            (e.source_pos, e.source_code, e.target_pos, e.target_code, e.count)
+            for e in edges
+        ] == [
+            (0, "05M091", 1, "04M051", 2),
+            (0, "05M091", 1, "04M133", 2),
+            (1, "04M051", 2, NONE_TOKEN, 2),
+            (1, "04M052", 2, NONE_TOKEN, 2),
+        ]
+        singles = sankey_flows(trajectories, [(0, 1)], top_k=5)[3:]
+        assert [(e.source_code, e.target_code, e.count) for e in singles] == [
+            ("04M052", "Death", 1),
+            ("05M093", NONE_TOKEN, 1),
+        ]
+        assert sankey_flows(trajectories, [(0, 1)], top_k=0) == []
+        with pytest.raises(DataError):
+            sankey_flows(trajectories, [(0, 1)], top_k=-1)
+
     def test_non_consecutive_pair_rejected(self):
         with pytest.raises(DataError):
             sankey_flows([], [(0, 2)], top_k=3)
@@ -184,6 +214,9 @@ class TestConfig:
             PipelineConfig(synth_patients=10, test_size=1.5).validate()
         with pytest.raises(DataError):
             PipelineConfig(synth_patients=10, trees=0).validate()
+        with pytest.raises(DataError):
+            PipelineConfig(synth_patients=10, mtry=0).validate()
+        PipelineConfig(synth_patients=10, mtry=1).validate()
 
 
 class TestRunPipeline:
