@@ -534,7 +534,8 @@ def holdout_rsf(
 def _write_manifest(
     path: Path, cfg: PipelineConfig, weights: MetricWeights, k: int, tuned: bool
 ) -> None:
-    parser = configparser.ConfigParser()
+    # no interpolation: input paths are recorded literally, '%' included
+    parser = configparser.ConfigParser(interpolation=None)
     parser["versions"] = {
         "carepath": __version__,
         "python": platform.python_version(),

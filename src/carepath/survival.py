@@ -5,6 +5,11 @@ hazards regression with Breslow tie handling, and a random survival forest
 whose leaves hold Nelson-Aalen cumulative hazards.  All estimators consume
 :class:`SurvivalRecord` rows carrying the five cohort covariates plus
 follow-up time and an event indicator.
+
+Forest trees stay nested dicts.  The three forest evaluators (one-record
+prediction, batch risk scores, scenario curves) share one batched descent
+that routes all rows through each tree with one comparison per split node,
+then add the reached leaves' hazards tree by tree in tree order.
 """
 
 from __future__ import annotations
@@ -198,7 +203,8 @@ class CoxModel:
 
 
 def _breslow_stats(Xc, T, E, beta):
-    # one descending-time sweep accumulating risk-set sums
+    # one descending-time sweep accumulating risk-set sums; each event
+    # block also yields its Breslow baseline increment (time, d / s0)
     order = np.argsort(-T, kind="stable")
     x = Xc[order]
     t = T[order]
@@ -209,6 +215,7 @@ def _breslow_stats(Xc, T, E, beta):
     ll = 0.0
     grad = np.zeros(p)
     hess = np.zeros((p, p))
+    steps: list[tuple[float, float]] = []
     s0 = 0.0
     s1 = np.zeros(p)
     s2 = np.zeros((p, p))
@@ -230,33 +237,9 @@ def _breslow_stats(Xc, T, E, beta):
             ll += float(eta[i:j][ev].sum()) - d * np.log(s0)
             grad += xb[ev].sum(axis=0) - d * mean
             hess -= d * (s2 / s0 - np.outer(mean, mean))
+            steps.append((float(t[i]), d / s0))
         i = j
-    return ll, grad, hess
-
-
-def _breslow_baseline(Xc, T, E, beta) -> StepFunction:
-    order = np.argsort(-T, kind="stable")
-    t = T[order]
-    e = E[order]
-    w = np.exp(Xc[order] @ beta)
-    s0 = 0.0
-    times: list[float] = []
-    increments: list[float] = []
-    n = len(t)
-    i = 0
-    while i < n:
-        j = i
-        while j < n and t[j] == t[i]:
-            j += 1
-        s0 += float(w[i:j].sum())
-        d = int((e[i:j] == 1).sum())
-        if d:
-            times.append(float(t[i]))
-            increments.append(d / s0)
-        i = j
-    times.reverse()
-    increments.reverse()
-    return StepFunction(np.array(times), np.cumsum(increments), initial=0.0)
+    return ll, grad, hess, steps
 
 
 def cox_fit(
@@ -290,7 +273,7 @@ def cox_fit(
     means = X.mean(axis=0)
     Xc = X - means
     beta = np.zeros(X.shape[1])
-    ll, grad, hess = _breslow_stats(Xc, T, E, beta)
+    ll, grad, hess, steps = _breslow_stats(Xc, T, E, beta)
     n_iter = 0
     for _ in range(max_iter):
         if float(np.max(np.abs(grad))) < tol:
@@ -304,23 +287,23 @@ def cox_fit(
         improved = False
         for _ in range(45):
             cand = beta + step * delta
-            ll_new, grad_new, hess_new = _breslow_stats(Xc, T, E, cand)
+            ll_new, grad_new, hess_new, steps_new = _breslow_stats(Xc, T, E, cand)
             if ll_new >= ll - 1e-12:
                 improved = True
                 break
             step *= 0.5
         if not improved:
             break
-        beta, ll, grad, hess = cand, ll_new, grad_new, hess_new
+        beta, ll, grad, hess, steps = cand, ll_new, grad_new, hess_new, steps_new
         if float(np.max(np.abs(beta))) > SEPARATION_BOUND:
             raise SeparationError(
                 f"coefficient magnitude exceeded {SEPARATION_BOUND}; likely separation"
             )
-    baseline = _breslow_baseline(Xc, T, E, beta)
+    times, increments = zip(*reversed(steps))
     return CoxModel(
         beta=beta,
         log_partial_likelihood=float(ll),
-        baseline_cumhaz=baseline,
+        baseline_cumhaz=StepFunction(np.array(times), np.cumsum(increments), initial=0.0),
         covariate_means=means,
         n_iter=n_iter,
     )
@@ -496,13 +479,6 @@ def rsf_fit(
     )
 
 
-def _find_leaf(tree: dict, x: np.ndarray) -> dict:
-    node = tree
-    while "feature" in node:
-        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
-    return node
-
-
 def _eval_steps(times: np.ndarray, values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     if times.size == 0:
         return np.zeros(grid.shape)
@@ -510,14 +486,40 @@ def _eval_steps(times: np.ndarray, values: np.ndarray, grid: np.ndarray) -> np.n
     return np.where(idx >= 0, values[np.maximum(idx, 0)], 0.0)
 
 
-def _model_vector(forest: SurvivalForest, covariates) -> np.ndarray:
-    x = np.array(covariates, dtype=float)
-    if x.ndim != 1:
-        raise DataError("covariates must be a flat vector")
-    if forest.use_age:
-        x = x.copy()
-        x[0] = forest.reference_year - x[0]
-    return x
+def _reached_leaves(forest: SurvivalForest, X: np.ndarray):
+    # batched descent: yields (leaf, row indices reaching it), tree by tree
+    columns = np.array(X, dtype=float).T.copy()
+    if forest.use_age and len(X):
+        columns[0] = forest.reference_year - columns[0]
+    all_rows = np.arange(len(X))
+    for tree in forest.trees:
+        stack = [(tree, all_rows)]
+        while stack:
+            node, rows = stack.pop()
+            if not rows.size:
+                continue
+            if "feature" in node:
+                left = columns[node["feature"]][rows] <= node["threshold"]
+                stack.append((node["right"], rows[~left]))
+                stack.append((node["left"], rows[left]))
+            else:
+                yield node, rows
+
+
+def _hazard_sums(
+    forest: SurvivalForest, X: np.ndarray, grid: np.ndarray, summed: bool = False
+) -> np.ndarray:
+    """Per raw covariate row, the reached leaves' cumulative hazards on
+    ``grid``, added tree by tree in tree order.
+
+    With ``summed`` each leaf's hazard is first summed over ``grid``, once
+    per leaf, and every row gets one number.
+    """
+    acc = np.zeros(len(X) if summed else (len(X), grid.size))
+    for leaf, rows in _reached_leaves(forest, X):
+        hazard = _eval_steps(leaf["times"], leaf["chf"], grid)
+        acc[rows] += float(hazard.sum()) if summed else hazard
+    return acc
 
 
 def rsf_predict(forest: SurvivalForest, covariates) -> tuple[StepFunction, float]:
@@ -527,16 +529,13 @@ def rsf_predict(forest: SurvivalForest, covariates) -> tuple[StepFunction, float
     reached leaves' jump times; survival is its exponential decay, and the
     risk score sums the cumulative hazard over the training event-time grid.
     """
-    x = _model_vector(forest, covariates)
-    leaves = [_find_leaf(tree, x) for tree in forest.trees]
-    parts = [leaf["times"] for leaf in leaves if leaf["times"].size]
-    if not parts:
-        return StepFunction(np.empty(0), np.empty(0), initial=1.0), 0.0
-    grid = np.unique(np.concatenate(parts))
-    acc = np.zeros(grid.shape)
-    for leaf in leaves:
-        acc += _eval_steps(leaf["times"], leaf["chf"], grid)
-    chf = acc / len(leaves)
+    x = np.array(covariates, dtype=float)
+    if x.ndim != 1:
+        raise DataError("covariates must be a flat vector")
+    X = x[None, :]
+    parts = [leaf["times"] for leaf, _ in _reached_leaves(forest, X)]
+    grid = np.unique(np.concatenate([np.empty(0), *parts]))
+    chf = _hazard_sums(forest, X, grid)[0] / len(forest.trees)
     risk = float(_eval_steps(grid, chf, forest.event_times).sum())
     return StepFunction(grid, np.exp(-chf), initial=1.0), risk
 
@@ -544,25 +543,14 @@ def rsf_predict(forest: SurvivalForest, covariates) -> tuple[StepFunction, float
 def rsf_risk_scores(
     forest: SurvivalForest, records: Sequence[SurvivalRecord]
 ) -> np.ndarray:
-    """Risk scores for many records at once, sharing per-leaf partial sums."""
-    X = covariate_matrix(records)  # raw; _model_vector applies the forest transform
-    cache: dict[int, float] = {}
-    out = np.empty(len(records))
-    for i in range(len(records)):
-        x = _model_vector(forest, X[i])
-        total = 0.0
-        for tree in forest.trees:
-            leaf = _find_leaf(tree, x)
-            key = id(leaf)
-            val = cache.get(key)
-            if val is None:
-                val = float(
-                    _eval_steps(leaf["times"], leaf["chf"], forest.event_times).sum()
-                )
-                cache[key] = val
-            total += val
-        out[i] = total / len(forest.trees)
-    return out
+    """Risk scores of many records, one batched descent per tree.
+
+    A record's score is the tree average of its reached leaf's cumulative
+    hazard summed over the training event times; each leaf's sum is
+    computed once.  Equals the risk of :func:`rsf_predict` up to rounding.
+    """
+    sums = _hazard_sums(forest, covariate_matrix(records), forest.event_times, summed=True)
+    return sums / len(forest.trees)
 
 
 def scenario_curves(
@@ -577,13 +565,9 @@ def scenario_curves(
     if not records:
         raise DataError("no records")
     grid = np.unique(np.concatenate([[0.0], forest.event_times]))
-    curves: list[StepFunction] = []
-    areas: list[float] = []
-    for rec in records:
-        surv, _ = rsf_predict(forest, record_covariates(rec))
-        vals = surv(grid)
-        curves.append(StepFunction(grid, vals, initial=1.0))
-        areas.append(float(_trapezoid(vals, grid)))
-    best = int(np.argmax(areas))
-    worst = int(np.argmin(areas))
-    return curves[best], curves[worst]
+    chf = _hazard_sums(forest, covariate_matrix(records), grid) / len(forest.trees)
+    surv = np.exp(-chf)
+    areas = [float(_trapezoid(vals, grid)) for vals in surv]
+    best = StepFunction(grid, surv[int(np.argmax(areas))], initial=1.0)
+    worst = StepFunction(grid, surv[int(np.argmin(areas))], initial=1.0)
+    return best, worst

@@ -11,7 +11,10 @@ import numpy as np
 from carepath.codes import DEATH, StayCode
 from carepath.kmedoids import Clustering
 from carepath.metric import MetricWeights, PatientTrajectory
+from carepath.survival import StepFunction, record_covariates
 from carepath.synthetic import ArchetypeSpec
+
+_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 CARE_TYPES = "CKM"
 SEVERITIES = "1234_"
@@ -223,6 +226,79 @@ def oracle_cox_logpl(beta: float, x, T, E) -> float:
     for i in np.nonzero(es == 1)[0]:
         ll += beta * xs[i] - np.log(cw[block_end[i] - 1])
     return float(ll)
+
+
+def oracle_breslow_baseline(X, T, E, beta):
+    """Breslow baseline cumulative hazard at ``beta``, one event time at a time.
+
+    ``X`` is the centered design the model was fitted on.
+    """
+    w = np.exp(X @ beta)
+    times = np.unique(T[E == 1])
+    steps = [np.sum((T == t) & (E == 1)) / w[T >= t].sum() for t in times]
+    return times, np.cumsum(steps)
+
+
+def walk_tree(node, x):
+    while "feature" in node:
+        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
+    return node
+
+
+def _steps_at(times, values, grid):
+    return StepFunction(times, values, initial=0.0)(grid)
+
+
+def _forest_input(forest, covariates):
+    x = np.array(covariates, dtype=float)
+    if forest.use_age:
+        x[0] = forest.reference_year - x[0]
+    return x
+
+
+def oracle_rsf_predict(forest, covariates):
+    """One record, every tree walked on its own; the curve lives on the
+    union of the reached leaves' jump times."""
+    x = _forest_input(forest, covariates)
+    leaves = [walk_tree(tree, x) for tree in forest.trees]
+    parts = [leaf["times"] for leaf in leaves if leaf["times"].size]
+    if not parts:
+        return StepFunction(np.empty(0), np.empty(0), initial=1.0), 0.0
+    grid = np.unique(np.concatenate(parts))
+    acc = np.zeros(grid.shape)
+    for leaf in leaves:
+        acc += _steps_at(leaf["times"], leaf["chf"], grid)
+    chf = acc / len(leaves)
+    risk = float(_steps_at(grid, chf, forest.event_times).sum())
+    return StepFunction(grid, np.exp(-chf), initial=1.0), risk
+
+
+def oracle_rsf_risk_scores(forest, records) -> np.ndarray:
+    """Per record, the tree average of the reached leaf's hazard summed
+    over the training event times, added tree by tree."""
+    out = np.empty(len(records))
+    for i, rec in enumerate(records):
+        x = _forest_input(forest, record_covariates(rec))
+        total = 0.0
+        for tree in forest.trees:
+            leaf = walk_tree(tree, x)
+            total += float(_steps_at(leaf["times"], leaf["chf"], forest.event_times).sum())
+        out[i] = total / len(forest.trees)
+    return out
+
+
+def oracle_scenario_curves(forest, records):
+    """Each member predicted on its own, re-evaluated on zero plus the
+    event times and ranked by trapezoidal area; ties keep the earliest."""
+    grid = np.unique(np.concatenate([[0.0], forest.event_times]))
+    curves = []
+    areas = []
+    for rec in records:
+        surv, _ = oracle_rsf_predict(forest, record_covariates(rec))
+        vals = surv(grid)
+        curves.append(StepFunction(grid, vals, initial=1.0))
+        areas.append(float(_trapezoid(vals, grid)))
+    return curves[int(np.argmax(areas))], curves[int(np.argmin(areas))]
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,31 @@ class TestRunCommand:
         assert manifest["run"]["seed"] == "9"
         assert manifest["cluster"]["k"] == "2"  # flag beats the file
 
+    def test_run_records_input_paths_with_percent_signs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cohort = synth_dir(tmp_path)
+        shutil.copytree(cohort, tmp_path / "pct%dir")
+        code = cli.main(
+            [
+                "run",
+                "--trajectories",
+                "pct%dir/trajectories.csv",
+                "--covariates",
+                "pct%dir/covariates.csv",
+                "--k",
+                "2",
+                "--trees",
+                "3",
+                "--out",
+                "R",
+            ]
+        )
+        assert code == 0
+        manifest = configparser.ConfigParser(interpolation=None)
+        manifest.read(tmp_path / "R" / "manifest.ini")
+        assert manifest["data"]["trajectories"] == "pct%dir/trajectories.csv"
+        assert manifest["data"]["covariates"] == "pct%dir/covariates.csv"
+
     def test_unknown_config_key_is_a_data_error(self, tmp_path):
         config = tmp_path / "run.ini"
         config.write_text("[run]\nseed = 1\n\n[cluster]\nsize = 3\n")

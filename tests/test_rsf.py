@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import walk_tree
 from carepath.errors import DataError
 from carepath.survival import (
     SurvivalRecord,
@@ -17,12 +18,6 @@ from carepath.survival import (
 from test_survival import make_records
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
-
-def walk_tree(node, x):
-    while "feature" in node:
-        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
-    return node
 
 
 def eval_step_slowly(times, values, grid):
@@ -219,3 +214,77 @@ class TestScenarioCurves:
         forest, _ = fitted
         with pytest.raises(DataError):
             scenario_curves(forest, [])
+
+
+def assert_same_curve(a, b):
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.values, b.values)
+
+
+class TestBatchedEvaluatorsMatchOracles:
+    """The batched descent must reproduce the per-record tree walks bit for bit."""
+
+    @staticmethod
+    def check(forest, group):
+        best, worst = scenario_curves(forest, group)
+        want_best, want_worst = helpers.oracle_scenario_curves(forest, group)
+        assert_same_curve(best, want_best)
+        assert_same_curve(worst, want_worst)
+        risks = rsf_risk_scores(forest, group)
+        assert np.array_equal(risks, helpers.oracle_rsf_risk_scores(forest, group))
+        for r in group[:12]:
+            surv, risk = rsf_predict(forest, record_covariates(r))
+            want_surv, want_risk = helpers.oracle_rsf_predict(forest, record_covariates(r))
+            assert_same_curve(surv, want_surv)
+            assert risk == want_risk
+
+    @pytest.mark.parametrize("use_age", [False, True], ids=["birth-year", "age"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_groups_of_several_sizes(self, midsize_cohort, seed, use_age):
+        records = midsize_cohort[1]
+        forest = rsf_fit(
+            records[:120], n_estimators=8, seed=seed, use_age=use_age, reference_year=2020
+        )
+        for start, size in ((0, 1), (5, 7), (60, 40), (40, 160)):
+            self.check(forest, records[start : start + size])
+
+    @pytest.mark.parametrize("use_age", [False, True], ids=["birth-year", "age"])
+    def test_tied_twins(self, fitted, use_age):
+        records = fitted[1]
+        forest = rsf_fit(records[:100], n_estimators=6, seed=4, use_age=use_age)
+        twins = [records[3], records[3], records[8], records[3], records[8]]
+        self.check(forest, twins)
+
+    @pytest.mark.parametrize("use_age", [False, True], ids=["birth-year", "age"])
+    def test_single_leaf_forest(self, midsize_cohort, use_age):
+        records = midsize_cohort[1][:60]
+        n = len(records)
+        forest = rsf_fit(
+            records,
+            n_estimators=4,
+            seed=1,
+            min_samples_split=2 * n,
+            min_samples_leaf=n,
+            use_age=use_age,
+        )
+        assert all("feature" not in tree for tree in forest.trees)
+        self.check(forest, records[:25])
+
+    def test_age_forest_splits_on_age(self, midsize_cohort):
+        records = midsize_cohort[1]
+        forest = rsf_fit(records[:120], n_estimators=8, seed=0, use_age=True)
+        thresholds = []
+        stack = list(forest.trees)
+        while stack:
+            node = stack.pop()
+            if "feature" in node:
+                if node["feature"] == 0:
+                    thresholds.append(node["threshold"])
+                stack += [node["left"], node["right"]]
+        ages = 2016 - np.array([r.birth_year for r in records])
+        assert thresholds
+        assert all(ages.min() < t < ages.max() for t in thresholds)
+
+    def test_no_records_score_nothing(self, midsize_cohort):
+        forest = rsf_fit(midsize_cohort[1][:60], n_estimators=2, seed=0, use_age=True)
+        assert rsf_risk_scores(forest, []).shape == (0,)

@@ -200,6 +200,16 @@ class TestCox:
         assert np.array_equal(model.baseline_cumhaz.times, na.times)
         assert np.allclose(model.baseline_cumhaz.values, na.values, atol=1e-12)
 
+    def test_baseline_is_breslow_at_fitted_coefficients(self, midsize_cohort):
+        records = midsize_cohort[1][:150]
+        model = cox_fit(records, use_age=True)
+        assert model.n_iter > 0 and np.any(model.beta != 0.0)
+        X = covariate_matrix(records, use_age=True) - model.covariate_means
+        T, E = times_events(records)
+        want_t, want_h = helpers.oracle_breslow_baseline(X, T, E, model.beta)
+        assert np.array_equal(model.baseline_cumhaz.times, want_t)
+        assert np.allclose(model.baseline_cumhaz.values, want_h, rtol=1e-12, atol=0)
+
     def test_recovers_known_coefficient(self):
         rng = np.random.default_rng(0)
         n = 2000
