@@ -1,4 +1,6 @@
+import hashlib
 import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from carepath.survival import (
     rsf_risk_scores,
     scenario_curves,
 )
+from carepath.synthetic import generate_cohort
 from test_survival import make_records
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -288,3 +291,65 @@ class TestBatchedEvaluatorsMatchOracles:
     def test_no_records_score_nothing(self, midsize_cohort):
         forest = rsf_fit(midsize_cohort[1][:60], n_estimators=2, seed=0, use_age=True)
         assert rsf_risk_scores(forest, []).shape == (0,)
+
+
+def forest_digest(trees) -> str:
+    """sha256 over every bit of a forest's trees, walked in pre-order.
+
+    Splits contribute their feature index and threshold, leaves their jump
+    times and cumulative hazards, all as little-endian fixed-width fields.
+    Unlike a pickle, the bytes do not depend on the pickle protocol or on
+    numpy's module layout.
+    """
+    h = hashlib.sha256()
+    stack = list(reversed(trees))
+    while stack:
+        node = stack.pop()
+        if "feature" in node:
+            assert set(node) == {"feature", "threshold", "left", "right"}
+            assert type(node["feature"]) is int and type(node["threshold"]) is float
+            h.update(b"S" + struct.pack("<qd", node["feature"], node["threshold"]))
+            stack += [node["right"], node["left"]]
+        else:
+            assert set(node) == {"times", "chf"}
+            times, chf = node["times"], node["chf"]
+            assert times.dtype == chf.dtype == np.float64 and times.shape == chf.shape
+            h.update(b"L" + struct.pack("<q", times.size))
+            h.update(times.astype("<f8").tobytes() + chf.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def pinned_cohort():
+    records = generate_cohort(n_patients=400, seed=5)[1]
+    return {400: records, 30: records[::13][:30]}
+
+
+class TestPinnedTrees:
+    """Seeded forests must keep these exact trees: a faster split search
+    may change how the best split is found, never which split it is."""
+
+    # (records, use_age, min_samples_leaf) -> forest_digest, recorded with the
+    # per-threshold split search
+    PINNED = {
+        (30, False, 5): "81efff0a15089d0f98a877bc260cb818234377d5161508e4b8342a623ec2af59",
+        (30, False, 15): "6fd5433ec1e86fd777dfea24a617821e1552526d1ee65c0ee40f6f52b7b64f84",
+        (30, True, 5): "e6e0a19133ce2326c18c975e0576602c0f03c0045c4e37e3b0bcbdb9341c6972",
+        (30, True, 15): "c957dfc64e6635971fc169a148d994a12e133df73dbe102354b1eea012fdc61a",
+        (400, False, 5): "bceece4a8177d8ba02a95cc5e5204e727d1d8ca93b547687815717ef964ffc42",
+        (400, False, 15): "0124fd2471a0182187233caeadb1043eb034ef2e7fe77e89a37b1878a0393910",
+        (400, True, 5): "22574b7e360a9c59f51b0b49da25c5eaa2cfa96730239fada3a8ffa9987070c8",
+        (400, True, 15): "952720d54770b03f68d1dcfdb576896e90d0aaeb3b32e420590914197cad7db9",
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_trees_are_unchanged(self, pinned_cohort, key):
+        size, use_age, leaf = key
+        forest = rsf_fit(
+            pinned_cohort[size],
+            n_estimators=10,
+            seed=21,
+            min_samples_leaf=leaf,
+            use_age=use_age,
+        )
+        assert forest_digest(forest.trees) == self.PINNED[key]
