@@ -10,6 +10,15 @@ Forest trees stay nested dicts.  The three forest evaluators (one-record
 prediction, batch risk scores, scenario curves) share one batched descent
 that routes all rows through each tree with one comparison per split node,
 then add the reached leaves' hazards tree by tree in tree order.
+
+A node's split search scores every threshold of a drawn covariate in one
+pass (the log-rank split rule of Ishwaran et al., 2008).  One ``bincount``
+over (covariate level, time rank) counts records and deaths; cumulative sums
+over levels and then, reversed, over time give the left group's deaths and
+risk sets for every midpoint threshold.  The statistic's numerator and
+variance are row sums that add in :func:`logrank_statistic`'s order, so the
+trees equal those of a per-threshold search.  A node with fewer than
+``2 * min_leaf`` records still draws its covariates, then stays a leaf.
 """
 
 from __future__ import annotations
@@ -84,7 +93,8 @@ def covariate_matrix(
     With ``use_age`` the birth year column is replaced by
     ``reference_year - birth_year``.
     """
-    X = np.array([record_covariates(r) for r in records], dtype=float)
+    # reshape keeps the five columns when there are no records
+    X = np.array([record_covariates(r) for r in records], dtype=float).reshape(-1, 5)
     if use_age:
         X[:, 0] = reference_year - X[:, 0]
     return X
@@ -326,12 +336,19 @@ def logrank_statistic(T: np.ndarray, E: np.ndarray, group: np.ndarray) -> float:
     uniq, ranks = np.unique(T, return_inverse=True)
     u = uniq.size
     d = np.bincount(ranks[E == 1], minlength=u)
-    total = np.bincount(ranks, minlength=u)
-    at_risk = np.cumsum(total[::-1])[::-1]
-    in1 = np.bincount(ranks[group], minlength=u)
-    at_risk1 = np.cumsum(in1[::-1])[::-1]
+    at_risk = np.cumsum(np.bincount(ranks, minlength=u)[::-1])[::-1]
+    at_risk1 = np.cumsum(np.bincount(ranks[group], minlength=u)[::-1])[::-1]
     d1 = np.bincount(ranks[group & (E == 1)], minlength=u)
-    return _split_stat(d, at_risk, d1, at_risk1)
+    has_events = d > 0
+    d_e, y_e = d[has_events], at_risk[has_events]
+    frac = at_risk1[has_events] / y_e
+    num = float(np.sum(d1[has_events] - d_e * frac))
+    ok = y_e > 1
+    d_ok, y_ok, frac_ok = d_e[ok], y_e[ok], frac[ok]
+    var = float(np.sum(d_ok * frac_ok * (1.0 - frac_ok) * (y_ok - d_ok) / (y_ok - 1.0)))
+    if var <= 0.0:
+        return 0.0
+    return abs(num) / np.sqrt(var)
 
 
 @dataclass(eq=False)
@@ -358,57 +375,51 @@ def _leaf(T, E) -> dict:
 def _best_split(X, T, E, rng, mtry, min_leaf):
     n, p = X.shape
     feats = np.sort(rng.choice(p, size=min(mtry, p), replace=False))
+    if n < 2 * min_leaf:
+        return None
     uniq, ranks = np.unique(T, return_inverse=True)
     u = uniq.size
-    d = np.bincount(ranks[E == 1], minlength=u)
-    total = np.bincount(ranks, minlength=u)
-    at_risk = np.cumsum(total[::-1])[::-1]
     events = E == 1
+    d = np.bincount(ranks[events], minlength=u)
+    at_risk = np.cumsum(np.bincount(ranks, minlength=u)[::-1])[::-1]
+    has = d > 0
+    d_e, y_e = d[has], at_risk[has]
+    ok = y_e > 1
+    d_ok, y_ok = d_e[ok], y_e[ok]
 
     best_stat = 0.0
     best = None
     for f in feats:
         vals = X[:, f]
-        levels = np.unique(vals)
-        if levels.size < 2:
-            continue
+        levels, lev = np.unique(vals, return_inverse=True)
+        L = levels.size
         thresholds = (levels[:-1] + levels[1:]) / 2.0
-        for thr in thresholds:
-            mask = vals <= thr
-            n_left = int(mask.sum())
-            if n_left < min_leaf or n - n_left < min_leaf:
-                continue
-            in1 = np.bincount(ranks[mask], minlength=u)
-            at_risk1 = np.cumsum(in1[::-1])[::-1]
-            d1 = np.bincount(ranks[mask & events], minlength=u)
-            stat = _split_stat(d, at_risk, d1, at_risk1)
-            if stat > best_stat:
-                best_stat = stat
-                best = (int(f), float(thr), mask)
-    return best
-
-
-def _split_stat(d, at_risk, d1, at_risk1) -> float:
-    has_events = d > 0
-    if not has_events.any():
-        return 0.0
-    d_e = d[has_events]
-    y_e = at_risk[has_events]
-    frac = at_risk1[has_events] / y_e
-    num = float(np.sum(d1[has_events] - d_e * frac))
-    ok = y_e > 1
-    var = float(
-        np.sum(
-            d_e[ok]
-            * frac[ok]
-            * (1.0 - frac[ok])
-            * (y_e[ok] - d_e[ok])
-            / (y_e[ok] - 1.0)
-        )
-    )
-    if var <= 0.0:
-        return 0.0
-    return abs(num) / np.sqrt(var)
+        # top left level per threshold (a midpoint may round onto the upper one)
+        rows = np.searchsorted(levels, thresholds, side="right") - 1
+        n_left = np.cumsum(np.bincount(lev, minlength=L))[rows]
+        valid = np.flatnonzero((n_left >= min_leaf) & (n - n_left >= min_leaf))
+        if not valid.size:
+            continue
+        # level x time counts, cumulated over levels: row i = levels 0..i
+        cells = lev * u + ranks
+        in1 = np.bincount(cells, minlength=L * u).reshape(L, u).cumsum(axis=0)
+        d1 = np.bincount(cells[events], minlength=L * u).reshape(L, u).cumsum(axis=0)
+        at_risk1 = in1[rows[valid]][:, ::-1].cumsum(axis=1)[:, ::-1]
+        # a column mask yields a Fortran-ordered copy, whose rows would sum
+        # in another order than the 1-D sums of logrank_statistic
+        frac = np.ascontiguousarray(at_risk1[:, has]) / y_e
+        num = (np.ascontiguousarray(d1[rows[valid]][:, has]) - d_e * frac).sum(axis=1)
+        frac = np.ascontiguousarray(frac[:, ok])
+        var = (d_ok * frac * (1.0 - frac) * (y_ok - d_ok) / (y_ok - 1.0)).sum(axis=1)
+        stat = np.abs(num) / np.sqrt(np.where(var > 0.0, var, np.inf))
+        j = int(np.argmax(stat))
+        if stat[j] > best_stat:
+            best_stat = stat[j]
+            best = (int(f), float(thresholds[valid[j]]))
+    if best is None:
+        return None
+    feature, threshold = best
+    return feature, threshold, X[:, feature] <= threshold
 
 
 def _grow(X, T, E, rng, mtry, min_split, min_leaf) -> dict:
@@ -489,7 +500,7 @@ def _eval_steps(times: np.ndarray, values: np.ndarray, grid: np.ndarray) -> np.n
 def _reached_leaves(forest: SurvivalForest, X: np.ndarray):
     # batched descent: yields (leaf, row indices reaching it), tree by tree
     columns = np.array(X, dtype=float).T.copy()
-    if forest.use_age and len(X):
+    if forest.use_age:
         columns[0] = forest.reference_year - columns[0]
     all_rows = np.arange(len(X))
     for tree in forest.trees:

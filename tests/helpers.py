@@ -11,7 +11,7 @@ import numpy as np
 from carepath.codes import DEATH, StayCode
 from carepath.kmedoids import Clustering
 from carepath.metric import MetricWeights, PatientTrajectory
-from carepath.survival import StepFunction, record_covariates
+from carepath.survival import StepFunction, logrank_statistic, record_covariates
 from carepath.synthetic import ArchetypeSpec
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -237,6 +237,28 @@ def oracle_breslow_baseline(X, T, E, beta):
     times = np.unique(T[E == 1])
     steps = [np.sum((T == t) & (E == 1)) / w[T >= t].sum() for t in times]
     return times, np.cumsum(steps)
+
+
+def oracle_best_split(X, T, E, rng, mtry, min_leaf):
+    """Per-threshold log-rank split search: every midpoint of every drawn
+    feature is scored on its own, and the first strict maximum wins."""
+    n, p = X.shape
+    feats = np.sort(rng.choice(p, size=min(mtry, p), replace=False))
+    best_stat = 0.0
+    best = None
+    for f in feats:
+        vals = X[:, f]
+        levels = np.unique(vals)
+        for thr in (levels[:-1] + levels[1:]) / 2.0:
+            mask = vals <= thr
+            n_left = int(mask.sum())
+            if n_left < min_leaf or n - n_left < min_leaf:
+                continue
+            stat = logrank_statistic(T, E, mask)
+            if stat > best_stat:
+                best_stat = stat
+                best = (int(f), float(thr), mask)
+    return best
 
 
 def walk_tree(node, x):

@@ -4,12 +4,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from helpers import walk_tree
 from carepath.errors import DataError
 from carepath.survival import (
     SurvivalRecord,
+    _best_split,
     logrank_statistic,
     record_covariates,
     rsf_fit,
@@ -81,6 +84,96 @@ class TestLogRank:
             if at_risk > 1:
                 var += d * frac * (1 - frac) * (at_risk - d) / (at_risk - 1)
         return abs(num) / np.sqrt(var) if var > 0 else 0.0
+
+
+def _draw_ints(draw, n, lo, hi):
+    return np.array(draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n)))
+
+
+def _column(draw, kind, n):
+    if kind == "constant":
+        return np.full(n, draw(st.sampled_from([0.0, 2.0, 1950.0])))
+    if kind == "few":
+        values = [1.0, 2.0, 3.0]
+    elif kind == "adjacent":
+        # neighbouring floats, whose midpoints round onto one of the two
+        values = [1.0, np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)]
+    else:
+        values = np.arange(40.0) * 0.25 - 3.0
+    return np.array(draw(st.lists(st.sampled_from(list(values)), min_size=n, max_size=n)))
+
+
+@st.composite
+def _split_nodes(draw):
+    """One node of a growing tree: covariates, times, events and settings."""
+    min_leaf = draw(st.integers(1, 8))
+    n = max(2, 2 * min_leaf + draw(st.integers(-2, 30)))
+    p = draw(st.integers(1, 5))
+    kinds = st.sampled_from(["constant", "few", "adjacent", "many"])
+    X = np.column_stack([_column(draw, draw(kinds), n) for _ in range(p)])
+    n_times = draw(st.sampled_from([1, 3, 12, 60]))
+    T = _draw_ints(draw, n, 1, n_times).astype(float)
+    # event rate in tenths: 0 censors every record, 10 none
+    E = (_draw_ints(draw, n, 0, 9) < draw(st.integers(0, 10))).astype(int)
+    mtry = draw(st.integers(1, p + 1))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return X, T, E, mtry, min_leaf, seed
+
+
+@st.composite
+def _mirrored_nodes(draw):
+    """A feature and its negation, both drawn: every split is offered as a
+    group and as its complement, whose statistics agree up to the last bits."""
+    n = draw(st.integers(20, 60))
+    x = _draw_ints(draw, n, 0, 5).astype(float)
+    T = _draw_ints(draw, n, 1, 40).astype(float)
+    E = (_draw_ints(draw, n, 0, 9) < 7).astype(int)
+    return np.column_stack([x, -x]), T, E, 2, draw(st.integers(1, 7)), 0
+
+
+def _node(n, min_leaf, events):
+    rng = np.random.default_rng(n)
+    X = np.column_stack([np.arange(n) >= n // 2, rng.integers(0, 3, n), np.zeros(n)]).astype(float)
+    T = np.repeat(np.arange(1.0, n), 2)[:n]
+    return X, T, np.asarray(events)[:n], 3, min_leaf, 1
+
+
+def assert_split_matches_oracle(node):
+    X, T, E, mtry, min_leaf, seed = node
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _best_split(X, T, E, rng, mtry, min_leaf)
+    want = helpers.oracle_best_split(X, T, E, oracle_rng, mtry, min_leaf)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    if want is None:
+        assert got is None
+    else:
+        assert got[:2] == want[:2]
+        assert type(got[0]) is int and type(got[1]) is float
+        assert np.array_equal(got[2], want[2])
+
+
+class TestSplitSearchMatchesOracle:
+    """The one-pass split search must pick the per-threshold loop's split
+    and leave the generator exactly where the loop leaves it."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_split_nodes())
+    @example(_node(9, 5, [1] * 9))  # below 2 * min_leaf: no split, still draws
+    @example(_node(10, 5, [1] * 10))  # exactly 2 * min_leaf
+    @example(_node(40, 5, [0] * 40))  # all censored
+    def test_same_split_and_generator_state(self, node):
+        assert_split_matches_oracle(node)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(_mirrored_nodes())
+    def test_complement_ties_break_like_the_oracle(self, node):
+        # which one wins depends on every row sum adding in the oracle's order
+        assert_split_matches_oracle(node)
+
+    def test_boundary_examples_split_as_expected(self):
+        below, at = _node(9, 5, [1] * 9), _node(10, 5, [1] * 10)
+        assert _best_split(*below[:3], np.random.default_rng(1), 3, 5) is None
+        assert _best_split(*at[:3], np.random.default_rng(1), 3, 5) is not None
 
 
 class TestForestFit:

@@ -56,6 +56,12 @@ class TestRecord:
         X = covariate_matrix(rs, use_age=True, reference_year=2016)
         assert X[:, 0].tolist() == [66.0, 66.0]
 
+    @pytest.mark.parametrize("use_age", [False, True], ids=["birth-year", "age"])
+    def test_covariate_matrix_of_no_records(self, use_age):
+        X = covariate_matrix([], use_age=use_age)
+        assert X.shape == (0, 5)
+        assert X.dtype == np.float64
+
     def test_times_events(self):
         T, E = times_events(make_records([1.0, 2.0], [1, 0]))
         assert T.tolist() == [1.0, 2.0]
