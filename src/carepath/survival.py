@@ -394,7 +394,7 @@ def _best_split(X, T, E, rng, mtry, min_leaf):
         levels, lev = np.unique(vals, return_inverse=True)
         L = levels.size
         thresholds = (levels[:-1] + levels[1:]) / 2.0
-        # top left level per threshold (a midpoint may round onto the upper one)
+        # last level <= each threshold (adjacent floats' midpoint may be the upper one)
         rows = np.searchsorted(levels, thresholds, side="right") - 1
         n_left = np.cumsum(np.bincount(lev, minlength=L))[rows]
         valid = np.flatnonzero((n_left >= min_leaf) & (n - n_left >= min_leaf))
