@@ -155,7 +155,8 @@ _CONFIG_FIELDS = {
 
 
 def apply_config_file(cfg: PipelineConfig, path: str) -> None:
-    parser = configparser.ConfigParser()
+    # no interpolation, like the manifest writer: '%' is literal
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
         entries = [

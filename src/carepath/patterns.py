@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DataError
 
 Pattern = tuple[str, ...]
@@ -65,42 +67,106 @@ def frequent_patterns(
 
     Results are sorted by support descending, then pattern ascending.
     """
-    seqs = _check_db(db)
-    found: list[MinedPattern] = []
-    _mine(seqs, [(i, 0) for i in range(len(seqs))], (), cfg, found)
-    found.sort(key=lambda m: (-m.support, m.pattern))
+    found = _mine(_check_db(db), cfg.max_len, cfg.min_support)
+    # the miner emits patterns in ascending order, so a stable sort on
+    # support alone breaks ties by pattern
+    out = [MinedPattern(p, len(ids)) for p, ids in found if len(p) >= cfg.min_len]
+    out.sort(key=lambda m: -m.support)
     if cfg.top_k is not None:
-        found = found[: cfg.top_k]
-    return found
+        out = out[: cfg.top_k]
+    return out
 
 
-def _mine(seqs, projection, prefix, cfg, out) -> None:
-    if len(prefix) == cfg.max_len:
-        return
-    # support of each one-item extension in the projected database
-    counts: dict[str, int] = {}
-    for seq_idx, start in projection:
-        seen = set()
-        for item in seqs[seq_idx][start:]:
-            if item not in seen:
-                seen.add(item)
-                counts[item] = counts.get(item, 0) + 1
-    for item in sorted(counts):
-        sup = counts[item]
-        if sup < cfg.min_support:
-            continue
-        pattern = prefix + (item,)
-        if len(pattern) >= cfg.min_len:
-            out.append(MinedPattern(pattern, sup))
-        # project on the first occurrence of item in each remaining sequence
-        narrowed = []
+def _mine(seqs, max_len: int, min_support: int) -> list[tuple[Pattern, list[int]]]:
+    """Depth-first PrefixSpan over ``seqs``.
+
+    Returns ``(pattern, ids)`` for every pattern of at most ``max_len``
+    items that at least ``min_support`` sequences contain; ``ids`` are
+    those sequences' indices, ascending.  Items are extended in sorted
+    order, so the patterns come out in ascending (lexicographic) order.
+    """
+    out: list[tuple[Pattern, list[int]]] = []
+
+    def grow(projection, prefix) -> None:
+        # project every item on its first occurrence after each start at once
+        narrowed: dict[str, list[tuple[int, int]]] = {}
         for seq_idx, start in projection:
-            try:
-                pos = seqs[seq_idx].index(item, start)
-            except ValueError:
+            seq = seqs[seq_idx]
+            seen = set()
+            for pos in range(start, len(seq)):
+                item = seq[pos]
+                if item not in seen:
+                    seen.add(item)
+                    narrowed.setdefault(item, []).append((seq_idx, pos + 1))
+        for item in sorted(narrowed):
+            projected = narrowed[item]
+            if len(projected) < min_support:
                 continue
-            narrowed.append((seq_idx, pos + 1))
-        _mine(seqs, narrowed, pattern, cfg, out)
+            pattern = prefix + (item,)
+            out.append((pattern, [seq_idx for seq_idx, _ in projected]))
+            if len(pattern) < max_len:
+                grow(projected, pattern)
+
+    grow([(i, 0) for i in range(len(seqs))], ())
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class _Incidence:
+    """Which sequences of a database contain each of its patterns.
+
+    Pattern ``p`` is ``patterns[p]``; ids ascend in pattern order, so an id
+    is also the pattern's lexicographic rank.  The sparse incidence is the
+    list of ``(pid, sid)`` pairs: sequence ``sid`` contains pattern ``pid``.
+    """
+
+    patterns: list[Pattern]
+    lengths: np.ndarray
+    counts: np.ndarray  # whole-database support of each pattern
+    pid: np.ndarray
+    sid: np.ndarray
+
+    def supports(self, labels: np.ndarray, n_groups: int) -> np.ndarray:
+        """Support of every pattern within each group, as a P × ``n_groups`` array.
+
+        ``labels`` gives each sequence's group in ``range(n_groups)``.
+        """
+        size = len(self.patterns) * n_groups
+        cells = np.bincount(self.pid * n_groups + labels[self.sid], minlength=size)
+        return cells.reshape(len(self.patterns), n_groups)
+
+    def top(
+        self, supports: np.ndarray, length: int, limit: int, floor: int = 1
+    ) -> list[list[tuple[int, int]]]:
+        """The ``limit`` most supported patterns of ``length`` in each group.
+
+        Per column of ``supports``, a list of ``(pattern id, support)`` in
+        (support descending, pattern ascending) order, keeping only
+        patterns with support at least ``floor``.
+        """
+        ids = np.flatnonzero(self.lengths == length)
+        block = supports[ids]
+        # ids ascend by pattern, so a stable sort breaks support ties by pattern
+        order = np.argsort(-block, axis=0, kind="stable")[:limit]
+        top_ids = ids[order].T.tolist()
+        top_sup = np.take_along_axis(block, order, axis=0).T.tolist()
+        return [
+            [(pid, sup) for pid, sup in zip(group_ids, group_sup) if sup >= floor]
+            for group_ids, group_sup in zip(top_ids, top_sup)
+        ]
+
+
+def _incidence(seqs: list[list[str]], max_len: int, min_support: int = 1) -> _Incidence:
+    """Mine ``seqs`` once, keeping the ids of the sequences holding each pattern."""
+    found = _mine(seqs, max_len, min_support)
+    counts = np.array([len(ids) for _, ids in found], dtype=np.intp)
+    return _Incidence(
+        patterns=[p for p, _ in found],
+        lengths=np.array([len(p) for p, _ in found], dtype=np.intp),
+        counts=counts,
+        pid=np.repeat(np.arange(len(found), dtype=np.intp), counts),
+        sid=np.array([s for _, ids in found for s in ids], dtype=np.intp),
+    )
 
 
 def render_pattern(pattern: Pattern) -> str:

@@ -33,7 +33,7 @@ from .metric import (
     save_matrix_binary,
     save_matrix_csv,
 )
-from .patterns import MinedPattern, MiningConfig, frequent_patterns, render_pattern
+from .patterns import MiningConfig, _check_db, _incidence, render_pattern
 from .survival import (
     SurvivalRecord,
     c_index,
@@ -268,29 +268,36 @@ def write_frequency_csv(path: Path, table: FrequencyTable) -> None:
 
 
 def _pattern_report_rows(
-    scope: str,
-    db: Sequence[Sequence[str]],
-    cfg: PipelineConfig,
+    db: Sequence[Sequence[str]], labels: np.ndarray, k: int, cfg: PipelineConfig
 ) -> list[list]:
+    """``patterns.csv`` rows: the top patterns of each length in the whole
+    cohort, then in each of the ``k`` clusters, all from one mining pass."""
     mining = MiningConfig(
         min_support=cfg.min_support, min_len=1, max_len=cfg.mining_max_len
     )
-    by_len: dict[int, list[MinedPattern]] = {}
-    for mined in frequent_patterns(db, mining):
-        by_len.setdefault(len(mined.pattern), []).append(mined)
+    # a pattern below min_support in the cohort is below it in every cluster
+    incidence = _incidence(_check_db(db), mining.max_len, mining.min_support)
+    scopes = ["all"] + [f"cluster_{cid}" for cid in range(k)]
+    sizes = [len(db)] + np.bincount(labels, minlength=k).tolist()
+    supports = np.column_stack([incidence.counts, incidence.supports(labels, k)])
+    tops = [
+        incidence.top(supports, length, cfg.top_k, floor=mining.min_support)
+        for length in range(1, mining.max_len + 1)
+    ]
     rows = []
-    for length in range(1, cfg.mining_max_len + 1):
-        for rank, mined in enumerate(by_len.get(length, [])[: cfg.top_k], start=1):
-            rows.append(
-                [
-                    scope,
-                    length,
-                    rank,
-                    mined.support,
-                    f"{mined.support / len(db):.6f}",
-                    render_pattern(mined.pattern),
-                ]
-            )
+    for g, scope in enumerate(scopes):
+        for length, top in enumerate(tops, start=1):
+            for rank, (pid, count) in enumerate(top[g], start=1):
+                rows.append(
+                    [
+                        scope,
+                        length,
+                        rank,
+                        count,
+                        f"{count / sizes[g]:.6f}",
+                        render_pattern(incidence.patterns[pid]),
+                    ]
+                )
     return rows
 
 
@@ -367,14 +374,10 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
 
         # --- pattern report ------------------------------------------
         stage = "patterns"
-        pattern_rows = _pattern_report_rows("all", db, cfg)
-        for cid in range(k):
-            cluster_db = [db[i] for i in members[cid]]
-            pattern_rows.extend(_pattern_report_rows(f"cluster_{cid}", cluster_db, cfg))
         _write_csv(
             out / "patterns.csv",
             ("scope", "length", "rank", "count", "frequency", "pattern"),
-            pattern_rows,
+            _pattern_report_rows(db, clustering.assignment, k, cfg),
         )
 
         # --- frequency tables (deceased subset) ----------------------

@@ -34,6 +34,7 @@ DEFAULT_REFERENCE_YEAR = 2016
 SEPARATION_BOUND = 50.0
 DEFAULT_MIN_SAMPLES_SPLIT = 10
 DEFAULT_MIN_SAMPLES_LEAF = 15
+_N_COVARIATES = 5  # the columns of record_covariates
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -94,7 +95,8 @@ def covariate_matrix(
     ``reference_year - birth_year``.
     """
     # reshape keeps the five columns when there are no records
-    X = np.array([record_covariates(r) for r in records], dtype=float).reshape(-1, 5)
+    X = np.array([record_covariates(r) for r in records], dtype=float)
+    X = X.reshape(-1, _N_COVARIATES)
     if use_age:
         X[:, 0] = reference_year - X[:, 0]
     return X
@@ -543,6 +545,8 @@ def rsf_predict(forest: SurvivalForest, covariates) -> tuple[StepFunction, float
     x = np.array(covariates, dtype=float)
     if x.ndim != 1:
         raise DataError("covariates must be a flat vector")
+    if x.size != _N_COVARIATES:
+        raise DataError(f"covariates must have {_N_COVARIATES} columns, got {x.size}")
     X = x[None, :]
     parts = [leaf["times"] for leaf, _ in _reached_leaves(forest, X)]
     grid = np.unique(np.concatenate([np.empty(0), *parts]))

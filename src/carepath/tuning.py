@@ -5,6 +5,16 @@ that are rare in the cohort at large: for each cluster and each pattern
 length, the top patterns' within-cluster frequencies are compared against
 their whole-dataset frequencies and the differences averaged.
 
+Both frequencies come from one incidence of the cohort.  A single
+prefix-projected mining pass (PrefixSpan, Pei et al., ICDE 2001) records,
+for every pattern up to the longest scored length, the ids of the
+sequences that contain it (the id-lists of SPADE, Zaki, Machine Learning
+2001).  One ``np.bincount`` over those (pattern, sequence) pairs then gives
+every pattern's support in every cluster, and the id count over the cohort
+size gives its whole-dataset frequency, both from exact integer counts.
+``cluster_score`` mines once per call; ``tune_search`` mines once before its
+trials, because the cohort is the same in all of them.
+
 The search samples component weights and the cluster count uniformly at
 random under the ordering constraint, re-clusters, and keeps the
 best-scoring trial.  Every trial derives its own generator from the master
@@ -23,7 +33,7 @@ import numpy as np
 from .errors import DataError
 from .kmedoids import fit_kmedoids
 from .metric import MAX_WEIGHT, MetricWeights, PatientTrajectory, distance_matrix
-from .patterns import MiningConfig, MinedPattern, frequent_patterns, support
+from .patterns import _check_db, _incidence, _Incidence
 
 K_MIN = 2
 K_MAX = 20
@@ -66,41 +76,41 @@ def cluster_score(
     within-cluster and whole-dataset relative frequencies; lengths with no
     patterns at all drop out of that cluster's average.
     """
-    seqs = [list(s) for s in db]
+    seqs = _check_db(db)
     if len(labels) != len(seqs):
         raise DataError("labels and database must have the same length")
     if not seqs:
         raise DataError("sequence database is empty")
-    present = sorted(set(labels))
+    return _score(_incidence(seqs, max(cfg.lengths)), labels, cfg, n_clusters)
+
+
+def _score(
+    incidence: _Incidence,
+    labels: Sequence[int],
+    cfg: ScoreConfig,
+    n_clusters: int | None,
+) -> float:
+    """:func:`cluster_score` of ``labels`` over an incidence of the whole cohort."""
+    present, dense = np.unique(np.asarray(labels), return_inverse=True)
+    present = present.tolist()
     if n_clusters is not None:
         missing = sorted(set(range(n_clusters)) - set(present))
         if missing:
             raise DataError(f"empty clusters: {missing}")
-    n_total = len(seqs)
-    mining = MiningConfig(min_support=1, min_len=min(cfg.lengths), max_len=max(cfg.lengths))
+    n_total = len(dense)
+    sizes = np.bincount(dense, minlength=len(present)).tolist()
+    supports = incidence.supports(dense, len(present))
+    tops = [incidence.top(supports, length, cfg.top_per_length) for length in cfg.lengths]
+    counts = incidence.counts.tolist()
 
-    dataset_freq: dict[tuple[str, ...], float] = {}
     per_cluster: list[float] = []
-    for cid in present:
-        members = [seqs[i] for i, l in enumerate(labels) if l == cid]
-        size = len(members)
-        by_len: dict[int, list[MinedPattern]] = {}
-        for mined in frequent_patterns(members, mining):
-            by_len.setdefault(len(mined.pattern), []).append(mined)
+    for c, (cid, size) in enumerate(zip(present, sizes)):
         length_means: list[float] = []
-        for length in cfg.lengths:
-            # already in (support desc, pattern asc) order, so the head is the top
-            top = by_len.get(length, [])[: cfg.top_per_length]
-            if not top:
-                continue
-            diffs = []
-            for mined in top:
-                freq = dataset_freq.get(mined.pattern)
-                if freq is None:
-                    freq = support(seqs, mined.pattern) / n_total
-                    dataset_freq[mined.pattern] = freq
-                diffs.append(mined.support / size - freq)
-            length_means.append(sum(diffs) / len(diffs))
+        for top in tops:
+            # Python ints and the reference's operation order keep scores bit-exact
+            diffs = [sup / size - counts[pid] / n_total for pid, sup in top[c]]
+            if diffs:
+                length_means.append(sum(diffs) / len(diffs))
         if not length_means:
             raise DataError(f"cluster {cid} yields no patterns")
         per_cluster.append(sum(length_means) / len(length_means))
@@ -139,6 +149,8 @@ def tune_search(
             f"tuning samples up to k={K_MAX} clusters and needs at least "
             f"{K_MAX} patients, got {len(patients)}"
         )
+    # the cohort is the same in every trial, so it is mined once
+    incidence = _incidence(_check_db(db), max(score_cfg.lengths))
     log: list[TrialRecord] = []
     for trial in range(budget):
         rng = np.random.default_rng([seed, trial])
@@ -148,7 +160,7 @@ def tune_search(
         started = time.perf_counter()
         matrix = distance_matrix(patients, weights)
         fit = fit_kmedoids(matrix, k, seed=fit_seed)
-        score = cluster_score(db, fit.assignment, score_cfg, n_clusters=fit.k)
+        score = _score(incidence, fit.assignment, score_cfg, n_clusters=fit.k)
         wall_ms = (time.perf_counter() - started) * 1000.0
         log.append(
             TrialRecord(

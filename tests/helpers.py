@@ -9,10 +9,13 @@ from itertools import combinations
 import numpy as np
 
 from carepath.codes import DEATH, StayCode
+from carepath.errors import DataError
 from carepath.kmedoids import Clustering
 from carepath.metric import MetricWeights, PatientTrajectory
+from carepath.patterns import MiningConfig, frequent_patterns, render_pattern, support
 from carepath.survival import StepFunction, logrank_statistic, record_covariates
 from carepath.synthetic import ArchetypeSpec
+from carepath.tuning import ScoreConfig
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -177,6 +180,77 @@ def oracle_pattern_supports(db, max_len: int) -> dict[tuple[str, ...], int]:
         pattern: sum(1 for seq in db if contains(seq, pattern))
         for pattern in candidates
     }
+
+
+def oracle_cluster_score(db, labels, cfg=None, n_clusters=None) -> float:
+    """Per-cluster mining plus a whole-cohort ``support`` scan per top pattern."""
+    cfg = ScoreConfig() if cfg is None else cfg
+    seqs = [list(s) for s in db]
+    if len(labels) != len(seqs):
+        raise DataError("labels and database must have the same length")
+    if not seqs:
+        raise DataError("sequence database is empty")
+    present = sorted(set(labels))
+    if n_clusters is not None:
+        missing = sorted(set(range(n_clusters)) - set(present))
+        if missing:
+            raise DataError(f"empty clusters: {missing}")
+    n_total = len(seqs)
+    mining = MiningConfig(min_support=1, min_len=min(cfg.lengths), max_len=max(cfg.lengths))
+
+    dataset_freq: dict[tuple[str, ...], float] = {}
+    per_cluster: list[float] = []
+    for cid in present:
+        members = [seqs[i] for i, l in enumerate(labels) if l == cid]
+        size = len(members)
+        by_len: dict[int, list] = {}
+        for mined in frequent_patterns(members, mining):
+            by_len.setdefault(len(mined.pattern), []).append(mined)
+        length_means: list[float] = []
+        for length in cfg.lengths:
+            # already in (support desc, pattern asc) order, so the head is the top
+            top = by_len.get(length, [])[: cfg.top_per_length]
+            if not top:
+                continue
+            diffs = []
+            for mined in top:
+                freq = dataset_freq.get(mined.pattern)
+                if freq is None:
+                    freq = support(seqs, mined.pattern) / n_total
+                    dataset_freq[mined.pattern] = freq
+                diffs.append(mined.support / size - freq)
+            length_means.append(sum(diffs) / len(diffs))
+        if not length_means:
+            raise DataError(f"cluster {cid} yields no patterns")
+        per_cluster.append(sum(length_means) / len(length_means))
+    return sum(per_cluster) / len(per_cluster)
+
+
+def oracle_pattern_report_rows(db, labels, k: int, min_support: int, max_len: int, top_k: int):
+    """``patterns.csv`` rows from one ``frequent_patterns`` pass per scope."""
+    mining = MiningConfig(min_support=min_support, min_len=1, max_len=max_len)
+    scopes = [("all", db)] + [
+        (f"cluster_{cid}", [seq for seq, label in zip(db, labels) if label == cid])
+        for cid in range(k)
+    ]
+    rows = []
+    for scope, scope_db in scopes:
+        by_len: dict[int, list] = {}
+        for mined in frequent_patterns(scope_db, mining):
+            by_len.setdefault(len(mined.pattern), []).append(mined)
+        for length in range(1, max_len + 1):
+            for rank, mined in enumerate(by_len.get(length, [])[:top_k], start=1):
+                rows.append(
+                    [
+                        scope,
+                        length,
+                        rank,
+                        mined.support,
+                        f"{mined.support / len(scope_db):.6f}",
+                        render_pattern(mined.pattern),
+                    ]
+                )
+    return rows
 
 
 def oracle_nelson_aalen(times, events):

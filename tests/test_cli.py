@@ -6,7 +6,7 @@ import pytest
 
 from carepath import cli
 from carepath.errors import DataError, NumericError
-from carepath.pipeline import StageError
+from carepath.pipeline import PipelineConfig, StageError
 
 
 def synth_dir(tmp_path, n=40, seed=1):
@@ -293,16 +293,24 @@ class TestRunCommand:
             b"[metric]\nweights = a,b,c,d\n",
             b"seed = 1\n",
             b"[run]\nseed = 1\nseed = 2\n",
-            b"[run]\nout = 100%done\n",
             b"\xff\xfe[run]\n",
         ],
-        ids=["weights", "no-section", "duplicate-key", "interpolation", "not-utf8"],
+        ids=["weights", "no-section", "duplicate-key", "not-utf8"],
     )
     def test_malformed_config_is_a_data_error(self, tmp_path, capsys, text):
         config = tmp_path / "run.ini"
         config.write_bytes(text)
         assert cli.main(["run", "--config", str(config)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("value", ["100%done", "100%%done"], ids=["single", "double"])
+    def test_percent_in_config_is_literal(self, tmp_path, value):
+        config = tmp_path / "run.ini"
+        config.write_text(f"[run]\nout = {value}\n\n[data]\ntrajectories = {value}/t.csv\n")
+        cfg = PipelineConfig()
+        cli.apply_config_file(cfg, str(config))
+        assert cfg.out_dir == value
+        assert cfg.trajectory_csv == f"{value}/t.csv"
 
     def test_zero_mtry_fails_before_writing(self, tmp_path, capsys):
         config = tmp_path / "run.ini"

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from carepath.codes import parse_code
@@ -19,6 +21,7 @@ from carepath.pipeline import (
     run_pipeline,
     sankey_flows,
     write_frequency_csv,
+    _pattern_report_rows,
     _split_indices,
 )
 from carepath.synthetic import generate_cohort
@@ -163,6 +166,28 @@ class TestSankeyFlows:
                         target = rendered[pos + 1] if len(rendered) > pos + 1 else NONE_TOKEN
                         want[(pos, rendered[pos], target)] += 1
             assert got == dict(want)
+
+
+_sequences = st.lists(st.sampled_from("abcd"), min_size=1, max_size=6)
+
+
+class TestPatternReport:
+    @settings(deadline=None, database=None, max_examples=150)
+    @given(st.lists(_sequences, min_size=1, max_size=30), st.data())
+    def test_rows_match_mining_each_scope(self, db, data):
+        k = data.draw(st.integers(1, 5))
+        n = len(db)
+        labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+        cfg = PipelineConfig(
+            synth_patients=1,
+            min_support=data.draw(st.integers(1, 4)),
+            mining_max_len=data.draw(st.integers(1, 4)),
+            top_k=data.draw(st.integers(0, 6)),
+        )
+        want = helpers.oracle_pattern_report_rows(
+            db, labels, k, cfg.min_support, cfg.mining_max_len, cfg.top_k
+        )
+        assert _pattern_report_rows(db, labels, k, cfg) == want
 
 
 class TestSplitIndices:

@@ -257,6 +257,12 @@ class TestForestPrediction:
         assert np.array_equal(a.values, b.values)
         assert risk_a == risk_b
 
+    @pytest.mark.parametrize("length", [2, 7])
+    def test_wrong_vector_length_is_a_data_error(self, fitted, length):
+        forest, _ = fitted
+        with pytest.raises(DataError, match=f"5 columns, got {length}"):
+            rsf_predict(forest, [1950.0, 1.0, 3.0, 0.0, 20.0, 1.0, 1.0][:length])
+
     def test_prediction_averages_reached_leaves(self, fitted):
         forest, records = fitted
         x = record_covariates(records[7])

@@ -2,8 +2,12 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carepath.errors import DataError
+from carepath.kmedoids import fit_kmedoids
+from carepath.metric import distance_matrix
 from carepath.tuning import (
     K_MAX,
     K_MIN,
@@ -15,6 +19,7 @@ from carepath.tuning import (
     tune_search,
     write_trial_log,
 )
+from helpers import oracle_cluster_score
 
 
 class TestClusterScore:
@@ -59,6 +64,59 @@ class TestClusterScore:
             ScoreConfig(lengths=())
 
 
+def _outcome(score, *args):
+    try:
+        return repr(score(*args))
+    except DataError:
+        return "DataError"
+
+
+@st.composite
+def _scoring_cases(draw):
+    """A database, labels over arbitrary cluster ids, and a score config."""
+    seqs = st.lists(st.sampled_from("abcd"), min_size=1, max_size=7)
+    db = draw(st.lists(seqs, min_size=1, max_size=30))
+    if draw(st.integers(0, 5)) == 3:
+        db.insert(draw(st.integers(0, len(db))), [])
+    ids = draw(
+        st.integers(1, 6).map(lambda m: list(range(m)))
+        | st.lists(st.integers(-2, 9), min_size=1, max_size=6, unique=True)
+    )
+    labels = draw(st.lists(st.sampled_from(ids), min_size=len(db), max_size=len(db)))
+    if draw(st.booleans()):
+        labels = np.array(labels)
+    cfg = ScoreConfig(
+        top_per_length=draw(st.integers(1, 5)),
+        lengths=draw(st.sampled_from([(1, 2, 3), (1, 3), (2,)])),
+    )
+    n_clusters = draw(st.none() | st.integers(1, 11))
+    return db, labels, cfg, n_clusters
+
+
+class TestClusterScoreMatchesOracle:
+    @settings(deadline=None, database=None, max_examples=300)
+    @given(_scoring_cases())
+    def test_random_databases(self, case):
+        got = _outcome(cluster_score, *case)
+        assert got == _outcome(oracle_cluster_score, *case)
+        if got != "DataError":
+            assert cluster_score(*case) == oracle_cluster_score(*case)
+
+    def test_empty_sequence_rejected(self):
+        db = [["a", "b"], [], ["b"]]
+        with pytest.raises(DataError):
+            oracle_cluster_score(db, [0, 1, 1])
+        with pytest.raises(DataError, match="empty sequence"):
+            cluster_score(db, [0, 1, 1])
+
+    def test_empty_cluster_among_noncontiguous_ids(self):
+        db = [["a", "b"], ["b"], ["a"]]
+        labels = np.array([4, 2, 4])
+        assert cluster_score(db, labels, n_clusters=None) == oracle_cluster_score(db, labels)
+        with pytest.raises(DataError, match=r"empty clusters: \[0, 1, 3\]"):
+            cluster_score(db, labels, n_clusters=5)
+
+
 class TestSampling:
     def test_weights_respect_ordering_constraint(self):
         for seed in range(500):
@@ -82,6 +140,26 @@ def cohort(midsize_cohort):
 
 
 class TestTuneSearch:
+    @pytest.mark.parametrize(
+        "score_cfg",
+        [ScoreConfig(), ScoreConfig(top_per_length=1, lengths=(2,)), ScoreConfig(5, (1, 3))],
+    )
+    def test_trials_match_a_loop_over_the_oracle(self, cohort, score_cfg):
+        patients, db = cohort
+        seed, budget = 13, 4
+        _, log = tune_search(patients, db, budget=budget, seed=seed, score_cfg=score_cfg)
+        for trial, rec in zip(range(budget), log, strict=True):
+            rng = np.random.default_rng([seed, trial])
+            weights = sample_weights(rng)
+            k = sample_cluster_count(rng)
+            fit = fit_kmedoids(
+                distance_matrix(patients, weights), k, seed=int(rng.integers(0, 2**31 - 1))
+            )
+            score = oracle_cluster_score(db, fit.assignment, score_cfg, n_clusters=fit.k)
+            assert (rec.weights, rec.k, rec.seed) == (weights, k, fit.seed)
+            assert rec.td_history == fit.td_history
+            assert rec.score == score and repr(rec.score) == repr(score)
+
     def test_deterministic_per_seed(self, cohort):
         patients, db = cohort
         best_a, log_a = tune_search(patients, db, budget=3, seed=5)
