@@ -82,12 +82,20 @@ def _mine(seqs, max_len: int, min_support: int) -> list[tuple[Pattern, list[int]
 
     Returns ``(pattern, ids)`` for every pattern of at most ``max_len``
     items that at least ``min_support`` sequences contain; ``ids`` are
-    those sequences' indices, ascending.  Items are extended in sorted
-    order, so the patterns come out in ascending (lexicographic) order.
+    those sequences' indices, ascending.  Patterns come out in ascending
+    (lexicographic) order: each is emitted before its extensions, and
+    siblings are visited in sorted item order.
     """
     out: list[tuple[Pattern, list[int]]] = []
-
-    def grow(projection, prefix) -> None:
+    # (prefix, projection): each sequence holding prefix, and where the
+    # rest of the sequence starts after the prefix's first occurrence
+    stack = [((), [(i, 0) for i in range(len(seqs))])]
+    while stack:
+        prefix, projection = stack.pop()
+        if prefix:
+            out.append((prefix, [seq_idx for seq_idx, _ in projection]))
+        if len(prefix) == max_len:
+            continue
         # project every item on its first occurrence after each start at once
         narrowed: dict[str, list[tuple[int, int]]] = {}
         for seq_idx, start in projection:
@@ -98,16 +106,11 @@ def _mine(seqs, max_len: int, min_support: int) -> list[tuple[Pattern, list[int]
                 if item not in seen:
                     seen.add(item)
                     narrowed.setdefault(item, []).append((seq_idx, pos + 1))
-        for item in sorted(narrowed):
+        # pushed in reverse, so the smallest item is popped first
+        for item in sorted(narrowed, reverse=True):
             projected = narrowed[item]
-            if len(projected) < min_support:
-                continue
-            pattern = prefix + (item,)
-            out.append((pattern, [seq_idx for seq_idx, _ in projected]))
-            if len(pattern) < max_len:
-                grow(projected, pattern)
-
-    grow([(i, 0) for i in range(len(seqs))], ())
+            if len(projected) >= min_support:
+                stack.append((prefix + (item,), projected))
     return out
 
 
