@@ -3,6 +3,9 @@
 Items are rendered stay codes, one per hospitalization, so a pattern is an
 ordered tuple of codes matched as a not-necessarily-contiguous subsequence.
 Support counts the sequences that contain the pattern at least once.
+
+One mining pass also records which sequences contain each pattern; that
+incidence gives every pattern's support in every group of sequences at once.
 """
 
 from __future__ import annotations
