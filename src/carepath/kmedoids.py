@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .metric import MetricWeights, PatientTrajectory, code_distance
+from .metric import MetricWeights, PatientTrajectory, _code_table, _encode
 
 DEFAULT_MAX_SWEEPS = 100
 # cells per candidate block of the swap screen, which bounds its working memory
@@ -132,8 +132,11 @@ def medoid_profile(
     medoid: PatientTrajectory,
     weights: MetricWeights,
 ) -> list[float]:
-    """Per-stay minimum code distance from ``trajectory`` to any medoid stay."""
-    return [
-        min(code_distance(c, mc, weights) for mc in medoid.codes)
-        for c in trajectory.codes
-    ]
+    """Per-stay minimum code distance from ``trajectory`` to any medoid stay.
+
+    This is the one-pair case of the gather that a run applies to every
+    patient, ``table[row][:, medoid_row].min(axis=1)``, here over a code
+    table of the two trajectories' renderings.
+    """
+    reps, (row, medoid_row) = _encode((trajectory.codes, medoid.codes))
+    return _code_table(reps, weights)[row][:, medoid_row].min(axis=1).tolist()

@@ -7,11 +7,13 @@ trajectory distance aligns every stay with a three-position window of the
 other sequence, keeps the cheapest match, and averages the two directions
 so the result is symmetric.
 
-The cohort matrix is array-native: trajectories are encoded once as integer
-ids into a table of code distances and grouped into buckets by length, and
-each pair of buckets is scored in bounded chunks with gathers on that table.
-It adds the window minima in the same order as :func:`trajectory_distance`,
-which stays as the plain reference, so the two agree bit for bit.
+Every product use of the trajectory distance reads one encoding: a
+first-seen vocabulary of code renderings with one row of code ids per
+patient, and per weight vector a table of code distances, the only place
+``code_distance`` runs apart from the :func:`trajectory_distance` reference.
+The cohort matrix, the tuner (one encoding per search, one table per trial)
+and the medoid profiles all read it.  The matrix adds window minima in the
+order :func:`trajectory_distance` does, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .levenshtein import levenshtein_ratio
 MAX_WEIGHT = 100
 # cells per temporary of the matrix pass, which bounds its working memory
 _BLOCK_CELLS = 1 << 14
+_Encoding = tuple[list[StayCode], list[np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -157,55 +160,57 @@ def _directed_sums(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.
     return total
 
 
-def distance_matrix(
-    patients: Sequence[PatientTrajectory], weights: MetricWeights
-) -> np.ndarray:
-    """Symmetric matrix of pairwise trajectory distances with a zero diagonal.
-
-    The cohort is encoded once as integer ids into a table of code-level
-    distances, so ``code_distance`` runs once per pair of distinct
-    renderings.  Patients are then grouped into buckets by trajectory
-    length.  For each pair of buckets, every position of one side takes the
-    cheapest code of the other side's clamped window (up to three positions)
-    with one gather per window position over all patient pairs at once.
-    Large buckets are taken in row chunks, so every temporary is bounded by
-    a fixed cell count (or one chunk's rows of the code table), whatever the
-    cohort size.  Entries equal :func:`trajectory_distance` exactly.
-    """
-    if not patients:
-        raise DataError("cohort is empty")
-    ids = [p.patient_id for p in patients]
-    if len(set(ids)) != len(ids):
-        raise DataError("duplicate patient ids in cohort")
-
+def _encode(sequences: Sequence[Sequence[StayCode]]) -> _Encoding:
+    """First-seen rendering vocabulary and one row of code ids per sequence."""
     vocab: dict[str, int] = {}
     reps: list[StayCode] = []
-    buckets: dict[int, tuple[list[int], list[list[int]]]] = {}
-    for index, p in enumerate(patients):
+    rows = []
+    for codes in sequences:
         row = []
-        for c in p.codes:
-            key = c.render()
-            idx = vocab.get(key)
-            if idx is None:
-                idx = len(reps)
-                vocab[key] = idx
+        for c in codes:
+            idx = vocab.setdefault(c.render(), len(reps))
+            if idx == len(reps):
                 reps.append(c)
             row.append(idx)
-        members, rows = buckets.setdefault(len(row), ([], []))
-        members.append(index)
-        rows.append(row)
+        rows.append(np.array(row, dtype=np.intp))
+    return reps, rows
 
+
+def _encode_cohort(patients: Sequence[PatientTrajectory]) -> _Encoding:
+    """:func:`_encode` of a cohort, which must be non-empty with unique ids."""
+    if not patients:
+        raise DataError("cohort is empty")
+    if len({p.patient_id for p in patients}) != len(patients):
+        raise DataError("duplicate patient ids in cohort")
+    return _encode([p.codes for p in patients])
+
+
+def _code_table(reps: Sequence[StayCode], weights: MetricWeights) -> np.ndarray:
+    """``table[i, j]`` is the code distance between ``reps[i]`` and ``reps[j]``."""
     u = len(reps)
     table = np.zeros((u, u))
     for i in range(u):
         for j in range(i + 1, u):
             table[i, j] = table[j, i] = code_distance(reps[i], reps[j], weights)
+    return table
+
+
+def _matrix(table: np.ndarray, rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Pairwise trajectory distances of the code-id ``rows`` over ``table``.
+
+    Each pair of length buckets is scored with one gather on ``table`` per
+    window position, in row chunks that bound every temporary by a fixed
+    cell count (or one chunk's rows of the table), whatever the cohort size.
+    """
+    buckets: dict[int, list[int]] = {}
+    for index, row in enumerate(rows):
+        buckets.setdefault(len(row), []).append(index)
     groups = [
-        (np.array(members), np.array(rows, dtype=np.intp))
-        for members, rows in buckets.values()
+        (np.array(members), np.array([rows[i] for i in members]))
+        for members in buckets.values()
     ]
 
-    n = len(patients)
+    n = len(rows)
     out = np.zeros((n, n))
     for g, (idx_a, codes_a) in enumerate(groups):
         for idx_b, codes_b in groups[g:]:
@@ -225,6 +230,17 @@ def distance_matrix(
     return out
 
 
+def distance_matrix(
+    patients: Sequence[PatientTrajectory], weights: MetricWeights
+) -> np.ndarray:
+    """Symmetric matrix of pairwise trajectory distances with a zero diagonal.
+
+    Entries equal :func:`trajectory_distance` exactly.
+    """
+    reps, rows = _encode_cohort(patients)
+    return _matrix(_code_table(reps, weights), rows)
+
+
 def save_matrix_csv(path, matrix: np.ndarray, patient_ids: Sequence[str]) -> None:
     """Write the matrix with a patient-id header row; floats keep full precision."""
     matrix = np.asarray(matrix, dtype=float)
@@ -237,36 +253,9 @@ def save_matrix_csv(path, matrix: np.ndarray, patient_ids: Sequence[str]) -> Non
             writer.writerow([repr(float(v)) for v in row])
 
 
-def load_matrix_csv(path) -> tuple[list[str], np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            ids = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty matrix file") from None
-        rows = [[float(v) for v in row] for row in reader]
-    matrix = np.array(rows, dtype=float)
-    if matrix.shape != (len(ids), len(ids)):
-        raise DataError(f"{path}: matrix shape {matrix.shape} does not match header")
-    return ids, matrix
-
-
 def save_matrix_binary(path, matrix: np.ndarray) -> None:
     """Compact form: little-endian int64 size, then row-major float64 entries."""
     matrix = np.ascontiguousarray(matrix, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<q", matrix.shape[0]))
         fh.write(matrix.tobytes())
-
-
-def load_matrix_binary(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) != 8:
-            raise DataError(f"{path}: truncated matrix file")
-        (n,) = struct.unpack("<q", header)
-        body = fh.read()
-    expected = n * n * 8
-    if len(body) != expected:
-        raise DataError(f"{path}: expected {expected} payload bytes, got {len(body)}")
-    return np.frombuffer(body, dtype="<f8").reshape(n, n).copy()

@@ -25,11 +25,13 @@ import numpy as np
 from . import __version__
 from .dataio import load_dataset, write_covariates_csv, write_trajectories_csv
 from .errors import DataError, NumericError
-from .kmedoids import Clustering, fit_kmedoids, medoid_profile
+from .kmedoids import Clustering, fit_kmedoids
 from .metric import (
     MetricWeights,
     PatientTrajectory,
-    distance_matrix,
+    _code_table,
+    _encode_cohort,
+    _matrix,
     save_matrix_binary,
     save_matrix_csv,
 )
@@ -101,6 +103,9 @@ class PipelineConfig:
             raise DataError("trees must be >= 1")
         if self.mtry is not None and self.mtry < 1:
             raise DataError("mtry must be >= 1")
+        MiningConfig(self.min_support, 1, self.mining_max_len)
+        if self.top_k < 1:
+            raise DataError("top_k must be >= 1")
         if self.positions < 1 or self.sankey_pairs < 0:
             raise DataError("bad report geometry")
 
@@ -272,17 +277,14 @@ def _pattern_report_rows(
 ) -> list[list]:
     """``patterns.csv`` rows: the top patterns of each length in the whole
     cohort, then in each of the ``k`` clusters, all from one mining pass."""
-    mining = MiningConfig(
-        min_support=cfg.min_support, min_len=1, max_len=cfg.mining_max_len
-    )
     # a pattern below min_support in the cohort is below it in every cluster
-    incidence = _incidence(_check_db(db), mining.max_len, mining.min_support)
+    incidence = _incidence(_check_db(db), cfg.mining_max_len, cfg.min_support)
     scopes = ["all"] + [f"cluster_{cid}" for cid in range(k)]
     sizes = [len(db)] + np.bincount(labels, minlength=k).tolist()
     supports = np.column_stack([incidence.counts, incidence.supports(labels, k)])
     tops = [
-        incidence.top(supports, length, cfg.top_k, floor=mining.min_support)
-        for length in range(1, mining.max_len + 1)
+        incidence.top(supports, length, cfg.top_k, floor=cfg.min_support)
+        for length in range(1, cfg.mining_max_len + 1)
     ]
     rows = []
     for g, scope in enumerate(scopes):
@@ -358,7 +360,9 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
 
         # --- distance matrix -----------------------------------------
         stage = "distance"
-        matrix = distance_matrix(trajectories, weights)
+        reps, rows = _encode_cohort(trajectories)
+        table = _code_table(reps, weights)
+        matrix = _matrix(table, rows)
         patient_ids = [t.patient_id for t in trajectories]
         save_matrix_csv(out / "distance_matrix.csv", matrix, patient_ids)
         save_matrix_binary(out / "distance_matrix.bin", matrix)
@@ -411,9 +415,11 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         profile_rows = []
         for i, traj in enumerate(trajectories):
             cid = int(clustering.assignment[i])
-            medoid = trajectories[clustering.medoid_indices[cid]]
-            for pos, dist in enumerate(medoid_profile(traj, medoid, weights)):
-                profile_rows.append([traj.patient_id, cid, pos, repr(float(dist))])
+            medoid_row = rows[clustering.medoid_indices[cid]]
+            # exact: min only selects a table entry
+            profile = table[rows[i]][:, medoid_row].min(axis=1).tolist()
+            for pos, dist in enumerate(profile):
+                profile_rows.append([traj.patient_id, cid, pos, repr(dist)])
         _write_csv(
             out / "medoid_profiles.csv",
             ("patient_id", "cluster", "position", "distance"),

@@ -12,8 +12,9 @@ sequences that contain it (the id-lists of SPADE, Zaki, Machine Learning
 2001).  One ``np.bincount`` over those (pattern, sequence) pairs then gives
 every pattern's support in every cluster, and the id count over the cohort
 size gives its whole-dataset frequency, both from exact integer counts.
-``cluster_score`` mines once per call; ``tune_search`` mines once before its
-trials, because the cohort is the same in all of them.
+``cluster_score`` mines once per call; ``tune_search`` mines and encodes the
+cohort (see :mod:`carepath.metric`) once before its trials, because the cohort
+is the same in all of them, and builds only a code table per trial.
 
 The search samples component weights and the cluster count uniformly at
 random under the ordering constraint, re-clusters, and keeps the
@@ -32,7 +33,8 @@ import numpy as np
 
 from .errors import DataError
 from .kmedoids import fit_kmedoids
-from .metric import MAX_WEIGHT, MetricWeights, PatientTrajectory, distance_matrix
+from .metric import MAX_WEIGHT, MetricWeights, PatientTrajectory
+from .metric import _code_table, _encode_cohort, _matrix
 from .patterns import _check_db, _incidence, _Incidence
 
 K_MIN = 2
@@ -152,7 +154,8 @@ def tune_search(
             f"tuning samples up to k={K_MAX} clusters and needs at least "
             f"{K_MAX} patients, got {len(patients)}"
         )
-    # the cohort is the same in every trial, so it is mined once
+    # the cohort is the same in every trial, so it is encoded and mined once
+    reps, rows = _encode_cohort(patients)
     incidence = _incidence(_check_db(db), max(score_cfg.lengths))
     log: list[TrialRecord] = []
     for trial in range(budget):
@@ -161,8 +164,7 @@ def tune_search(
         k = sample_cluster_count(rng)
         fit_seed = int(rng.integers(0, 2**31 - 1))
         started = time.perf_counter()
-        matrix = distance_matrix(patients, weights)
-        fit = fit_kmedoids(matrix, k, seed=fit_seed)
+        fit = fit_kmedoids(_matrix(_code_table(reps, weights), rows), k, seed=fit_seed)
         score = _score(incidence, fit.assignment, score_cfg, n_clusters=fit.k)
         wall_ms = (time.perf_counter() - started) * 1000.0
         log.append(

@@ -11,7 +11,7 @@ import numpy as np
 from carepath.codes import DEATH, StayCode
 from carepath.errors import DataError
 from carepath.kmedoids import Clustering
-from carepath.metric import MetricWeights, PatientTrajectory
+from carepath.metric import MetricWeights, PatientTrajectory, code_distance
 from carepath.patterns import MiningConfig, frequent_patterns, render_pattern, support
 from carepath.survival import StepFunction, logrank_statistic, record_covariates
 from carepath.synthetic import ArchetypeSpec
@@ -97,6 +97,13 @@ def oracle_trajectory_distance(
         return total
 
     return (directed(a.codes, b.codes) + directed(b.codes, a.codes)) / 2.0
+
+
+def oracle_medoid_profile(
+    trajectory: PatientTrajectory, medoid: PatientTrajectory, w: MetricWeights
+) -> list[float]:
+    """Per-stay minimum code distance to any medoid stay, pair by pair."""
+    return [min(code_distance(c, mc, w) for mc in medoid.codes) for c in trajectory.codes]
 
 
 def oracle_fit_kmedoids(matrix, k: int, seed: int, max_iter: int = 100) -> Clustering:

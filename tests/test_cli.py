@@ -320,6 +320,16 @@ class TestRunCommand:
         assert "mtry" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting", ["top_k", "max_len"])
+    def test_bad_mining_setting_fails_before_any_stage(self, tmp_path, capsys, setting):
+        config = tmp_path / "run.ini"
+        config.write_text(f"[data]\nsynth_patients = 30\n\n[mining]\n{setting} = 0\n")
+        out = tmp_path / "artifacts"
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert setting in err and "stage" not in err
+        assert not out.exists()
+
     def test_conflicting_sources_fail(self, tmp_path):
         code = cli.main(
             [

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from carepath.errors import DataError
 from carepath.kmedoids import fit_kmedoids, medoid_profile
 from carepath.metric import MetricWeights, PatientTrajectory, distance_matrix
-from carepath.codes import parse_code
+from carepath.codes import DEATH, StayCode, parse_code
 from carepath.synthetic import generate_cohort
 
 WEIGHTS = MetricWeights(85, 75, 55, 40)
@@ -154,3 +156,35 @@ def test_medoid_profile_death_stay():
     traj = PatientTrajectory("A", (parse_code("05M092"), parse_code("Death")))
     medoid = PatientTrajectory("M", (parse_code("04M052"),))
     assert medoid_profile(traj, medoid, WEIGHTS) == [70.0, 255.0]
+
+
+# a small code alphabet, so the two trajectories share codes and tie often
+_codes = st.builds(
+    StayCode,
+    category=st.sampled_from(["05", "04", "50"]),
+    care_type=st.sampled_from(list(helpers.CARE_TYPES)),
+    counter=st.sampled_from(["09", "90"]),
+    severity=st.sampled_from(list(helpers.SEVERITIES)),
+)
+# zeros and equal components come up often
+_weights = st.lists(
+    st.integers(0, 100) | st.sampled_from([0, 40]), min_size=4, max_size=4
+).map(lambda w: MetricWeights(*sorted(w, reverse=True)))
+
+
+@st.composite
+def _trajectories(draw, patient_id):
+    codes = draw(st.lists(_codes, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        codes = codes[:-1] + [DEATH]  # a terminal death, or death alone
+    return PatientTrajectory(patient_id, tuple(codes))
+
+
+@settings(deadline=None, database=None)
+@given(_trajectories("A"), _trajectories("M"), st.booleans(), _weights)
+def test_medoid_profile_matches_the_per_pair_oracle(traj, other, own_medoid, weights):
+    medoid = traj if own_medoid else other
+    got = medoid_profile(traj, medoid, weights)
+    assert repr(got) == repr(helpers.oracle_medoid_profile(traj, medoid, weights))
+    if own_medoid:
+        assert got == [0.0] * len(traj)

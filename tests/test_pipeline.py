@@ -1,4 +1,5 @@
 import configparser
+import csv
 from collections import Counter
 
 import numpy as np
@@ -378,6 +379,26 @@ class TestRunPipeline:
         anchored = [line for line in table if line.startswith("05M092,")]
         assert anchored and anchored[0].split(",")[1] == "1.000000"
         assert n_dead > 0
+
+    def test_medoid_profiles_match_the_per_pair_oracle(self, tmp_path):
+        result = run_pipeline(self.config(tmp_path))
+        with open(result.out_dir / "assignments.csv", newline="") as fh:
+            assigned = list(csv.DictReader(fh))
+        by_id = {t.patient_id: t for t in result.trajectories}
+        medoid_of = {
+            row["cluster"]: by_id[row["patient_id"]]
+            for row in assigned
+            if row["is_medoid"] == "1"
+        }
+        want = []
+        for row in assigned:
+            pid, cid = row["patient_id"], row["cluster"]
+            profile = helpers.oracle_medoid_profile(by_id[pid], medoid_of[cid], result.weights)
+            want += [[pid, cid, str(pos), repr(d)] for pos, d in enumerate(profile)]
+        with open(result.out_dir / "medoid_profiles.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["patient_id", "cluster", "position", "distance"]
+        assert rows == want
 
     def test_assignments_cover_every_patient(self, tmp_path):
         result = run_pipeline(self.config(tmp_path))

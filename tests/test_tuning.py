@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from carepath.errors import DataError
 from carepath.kmedoids import fit_kmedoids
-from carepath.metric import distance_matrix
+from carepath.metric import PatientTrajectory, distance_matrix
 from carepath.tuning import (
     K_MAX,
     K_MIN,
@@ -191,6 +191,12 @@ class TestTuneSearch:
             tune_search(patients, db, budget=0, seed=0)
         with pytest.raises(DataError):
             tune_search(patients, db[:-1], budget=1, seed=0)
+
+    def test_duplicate_patient_ids_rejected(self, cohort):
+        patients, db = cohort
+        twin = PatientTrajectory(patients[0].patient_id, patients[1].codes)
+        with pytest.raises(DataError, match="duplicate patient ids"):
+            tune_search([*patients[:-1], twin], db, budget=1, seed=0)
 
     def test_cohort_smaller_than_k_max_rejected_up_front(self, cohort):
         patients, db = cohort
