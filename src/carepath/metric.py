@@ -32,7 +32,7 @@ from .levenshtein import levenshtein_ratio
 MAX_WEIGHT = 100
 # cells per temporary of the matrix pass, which bounds its working memory
 _BLOCK_CELLS = 1 << 14
-_Encoding = tuple[list[StayCode], list[np.ndarray]]
+_Encoding = tuple[list[StayCode], list[list[int]]]
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,7 @@ def _encode(sequences: Sequence[Sequence[StayCode]]) -> _Encoding:
             if idx == len(reps):
                 reps.append(c)
             row.append(idx)
-        rows.append(np.array(row, dtype=np.intp))
+        rows.append(row)
     return reps, rows
 
 
@@ -195,7 +195,7 @@ def _code_table(reps: Sequence[StayCode], weights: MetricWeights) -> np.ndarray:
     return table
 
 
-def _matrix(table: np.ndarray, rows: Sequence[np.ndarray]) -> np.ndarray:
+def _matrix(table: np.ndarray, rows: Sequence[Sequence[int]]) -> np.ndarray:
     """Pairwise trajectory distances of the code-id ``rows`` over ``table``.
 
     Each pair of length buckets is scored with one gather on ``table`` per
@@ -206,7 +206,7 @@ def _matrix(table: np.ndarray, rows: Sequence[np.ndarray]) -> np.ndarray:
     for index, row in enumerate(rows):
         buckets.setdefault(len(row), []).append(index)
     groups = [
-        (np.array(members), np.array([rows[i] for i in members]))
+        (np.array(members), np.array([rows[i] for i in members], dtype=np.intp))
         for members in buckets.values()
     ]
 
