@@ -134,9 +134,8 @@ def medoid_profile(
 ) -> list[float]:
     """Per-stay minimum code distance from ``trajectory`` to any medoid stay.
 
-    This is the one-pair case of the gather that a run applies to every
-    patient, ``table[row][:, medoid_row].min(axis=1)``, here over a code
-    table of the two trajectories' renderings.
+    The one-pair case of a run's per-patient gather, over a table of the
+    two trajectories' codes: ``table[row][:, medoid_row].min(axis=1)``.
     """
     reps, (row, medoid_row) = _encode((trajectory.codes, medoid.codes))
     return _code_table(reps, weights)[row][:, medoid_row].min(axis=1).tolist()

@@ -8,7 +8,7 @@ other sequence, keeps the cheapest match, and averages the two directions
 so the result is symmetric.
 
 Every product use of the trajectory distance reads one encoding: a
-first-seen vocabulary of code renderings with one row of code ids per
+first-seen vocabulary of distinct codes with one row of code ids per
 patient, and per weight vector a table of code distances, the only place
 ``code_distance`` runs apart from the :func:`trajectory_distance` reference.
 The cohort matrix, the tuner (one encoding per search, one table per trial)
@@ -161,14 +161,16 @@ def _directed_sums(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.
 
 
 def _encode(sequences: Sequence[Sequence[StayCode]]) -> _Encoding:
-    """First-seen rendering vocabulary and one row of code ids per sequence."""
-    vocab: dict[str, int] = {}
+    """First-seen vocabulary of distinct codes and one row of code ids per sequence."""
+    vocab: dict[tuple[str, ...], int] = {}
     reps: list[StayCode] = []
     rows = []
     for codes in sequences:
         row = []
         for c in codes:
-            idx = vocab.setdefault(c.render(), len(reps))
+            # keyed on the components, as two different codes can render alike
+            key = (c.category, c.care_type, c.counter, c.severity)
+            idx = vocab.setdefault(key, len(reps))
             if idx == len(reps):
                 reps.append(c)
             row.append(idx)

@@ -13,8 +13,7 @@ sequences that contain it (the id-lists of SPADE, Zaki, Machine Learning
 every pattern's support in every cluster, and the id count over the cohort
 size gives its whole-dataset frequency, both from exact integer counts.
 ``cluster_score`` mines once per call; ``tune_search`` mines and encodes the
-cohort (see :mod:`carepath.metric`) once before its trials, because the cohort
-is the same in all of them, and builds only a code table per trial.
+cohort once per search and builds only a code table in each trial.
 
 The search samples component weights and the cluster count uniformly at
 random under the ordering constraint, re-clusters, and keeps the

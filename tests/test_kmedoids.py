@@ -158,6 +158,13 @@ def test_medoid_profile_death_stay():
     assert medoid_profile(traj, medoid, WEIGHTS) == [70.0, 255.0]
 
 
+def test_medoid_profile_keeps_codes_that_render_alike_apart():
+    a, b = StayCode("05", "M", "09", "2"), StayCode("05M", "0", "9", "2")
+    traj, medoid = PatientTrajectory("A", (a,)), PatientTrajectory("M", (b,))
+    got = medoid_profile(traj, medoid, WEIGHTS)
+    assert got == helpers.oracle_medoid_profile(traj, medoid, WEIGHTS) != [0.0]
+
+
 # a small code alphabet, so the two trajectories share codes and tie often
 _codes = st.builds(
     StayCode,

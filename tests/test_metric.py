@@ -163,6 +163,13 @@ class TestDistanceMatrix:
         assert m.shape == (1, 1)
         assert m[0, 0] == 0.0
 
+    def test_codes_that_render_alike_keep_their_own_distances(self):
+        # both render as 05M092, but their components differ
+        a, b = StayCode("05", "M", "09", "2"), StayCode("05M", "0", "9", "2")
+        cohort = [PatientTrajectory("A", (a,)), PatientTrajectory("B", (b, a))]
+        _assert_matches_pairwise(cohort, WEIGHTS, metric._BLOCK_CELLS)
+        assert distance_matrix(cohort, WEIGHTS)[0, 1] > 0.0
+
     def test_duplicate_patient_ids_rejected(self):
         pair = [_traj("A", "05M092"), _traj("A", "04M052")]
         with pytest.raises(DataError):
