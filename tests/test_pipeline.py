@@ -1,5 +1,7 @@
 import configparser
 import csv
+import dataclasses
+import platform
 from collections import Counter
 
 import numpy as np
@@ -7,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import carepath
 import helpers
+from carepath import cli
 from carepath.codes import parse_code
 from carepath.errors import DataError
 from carepath.dataio import write_covariates_csv, write_trajectories_csv
@@ -406,3 +410,121 @@ class TestRunPipeline:
         assert len(lines) == 61
         medoid_flags = [line.split(",")[3] for line in lines[1:]]
         assert medoid_flags.count("1") == 4
+
+
+def _versions_section() -> str:
+    return (
+        "[versions]\n"
+        f"carepath = {carepath.__version__}\n"
+        f"python = {platform.python_version()}\n"
+        f"numpy = {np.__version__}\n\n"
+    )
+
+
+def _csv_inputs(directory) -> tuple[str, str]:
+    trajectories, records, _ = generate_cohort(40, seed=3)
+    directory.mkdir()
+    write_trajectories_csv(directory / "t.csv", trajectories)
+    write_covariates_csv(directory / "c.csv", records)
+    return str(directory / "t.csv"), str(directory / "c.csv")
+
+
+class TestManifestText:
+    """``manifest.ini`` byte for byte: section and key order, value spelling,
+    and which keys are left out."""
+
+    def test_synthetic_run(self, tmp_path):
+        cfg = PipelineConfig(
+            seed=5,
+            out_dir=str(tmp_path / "run"),
+            synth_patients=40,
+            synth_max_len=6,
+            horizon_days=900.0,
+            weights=MetricWeights(90, 70, 50, 30),
+            k=3,
+            min_support=3,
+            mining_max_len=2,
+            top_k=2,
+            trees=5,
+            test_size=0.3,
+            positions=4,
+            sankey_pairs=1,
+        )
+        run_pipeline(cfg)
+        assert (tmp_path / "run" / "manifest.ini").read_text() == _versions_section() + (
+            "[run]\nseed = 5\n\n"
+            "[data]\nsynth_patients = 40\nsynth_max_len = 6\nhorizon_days = 900.0\n\n"
+            "[metric]\nweights = 90,70,50,30\ntune_budget = 0\ntuned = false\n\n"
+            "[cluster]\nk = 3\n\n"
+            "[mining]\nmin_support = 3\nmax_len = 2\ntop_k = 2\n\n"
+            "[survival]\ntrees = 5\nmtry = \ntest_size = 0.3\nuse_age = false\n"
+            "reference_year = 2016\n\n"
+            "[report]\npositions = 4\nsankey_pairs = 1\n\n"
+        )
+
+    def test_csv_source_run(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _csv_inputs(tmp_path / "in%put")
+        cfg = PipelineConfig(
+            seed=8,
+            out_dir="run",
+            trajectory_csv="in%put/t.csv",
+            covariate_csv="in%put/c.csv",
+            k=2,
+            trees=4,
+            mtry=2,
+            use_age=True,
+            reference_year=2020,
+        )
+        run_pipeline(cfg)
+        assert (tmp_path / "run" / "manifest.ini").read_text() == _versions_section() + (
+            "[run]\nseed = 8\n\n"
+            "[data]\ntrajectories = in%put/t.csv\ncovariates = in%put/c.csv\n\n"
+            "[metric]\nweights = 85,75,55,40\ntune_budget = 0\ntuned = false\n\n"
+            "[cluster]\nk = 2\n\n"
+            "[mining]\nmin_support = 2\nmax_len = 3\ntop_k = 3\n\n"
+            "[survival]\ntrees = 4\nmtry = 2\ntest_size = 0.25\nuse_age = true\n"
+            "reference_year = 2020\n\n"
+            "[report]\npositions = 10\nsankey_pairs = 2\n\n"
+        )
+
+
+class TestManifestRoundTrip:
+    """A manifest read back as a config file gives the run's resolved config."""
+
+    @staticmethod
+    def read_back(result, tmp_path) -> PipelineConfig:
+        manifest = configparser.ConfigParser(interpolation=None)
+        manifest.read(result.out_dir / "manifest.ini")
+        # the two entries that record the run rather than configure it
+        manifest.remove_section("versions")
+        manifest.remove_option("metric", "tuned")
+        path = tmp_path / "again.ini"
+        with open(path, "w") as fh:
+            manifest.write(fh)
+        cfg = PipelineConfig()
+        cli.apply_config_file(cfg, str(path))
+        return cfg
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            dict(synth_patients=40, synth_max_len=5, horizon_days=700.5, seed=2),
+            dict(synth_patients=40, tune_budget=2, mtry=1, test_size=0.4),
+            dict(csv_dir="pct%dir", mtry=3, use_age=True, reference_year=2019),
+            dict(csv_dir="plain", min_support=3, mining_max_len=2, top_k=4, positions=3),
+        ],
+        ids=["synth", "synth-tuned-mtry", "csv-percent-age", "csv-mining"],
+    )
+    def test_read_back_gives_the_resolved_config(self, tmp_path, settings):
+        settings = dict(settings)
+        csv_dir = settings.pop("csv_dir", None)
+        if csv_dir is not None:
+            tpath, cpath = _csv_inputs(tmp_path / csv_dir)
+            settings.update(trajectory_csv=tpath, covariate_csv=cpath)
+        cfg = PipelineConfig(out_dir=str(tmp_path / "run"), k=3, trees=4, **settings)
+        result = run_pipeline(cfg)
+        want = dataclasses.replace(
+            cfg, out_dir=PipelineConfig.out_dir, weights=result.weights, k=result.k
+        )
+        assert self.read_back(result, tmp_path) == want
