@@ -7,7 +7,6 @@ system error), 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import configparser
 import contextlib
 import csv
 import sys
@@ -22,10 +21,13 @@ from .pipeline import (
     DEFAULT_WEIGHTS,
     PipelineConfig,
     StageError,
+    apply_config_file,
     cohort_cox_aic,
     holdout_rsf,
+    parse_weights,
     run_pipeline,
     sankey_flows,
+    setting_text,
     write_assignments_csv,
     write_sankey_csv,
 )
@@ -45,17 +47,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _weights_flag(text: str) -> MetricWeights:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("expected four comma-separated weights")
     try:
-        values = [int(p) for p in parts]
-    except ValueError:
-        raise argparse.ArgumentTypeError("weights must be integers") from None
-    try:
-        return MetricWeights.from_sequence(values)
+        return parse_weights(text)
     except DataError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _seed_flag(text: str) -> int:
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
 
 
 def build_parser() -> _Parser:
@@ -64,7 +69,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic cohort as CSV files")
     p.add_argument("--n", type=int, required=True, help="total patients")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_flag, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--max-len", type=int, default=8)
     p.add_argument("--horizon", type=float, default=1825.0)
@@ -87,13 +92,13 @@ def build_parser() -> _Parser:
     p.add_argument("--trajectories", required=True)
     p.add_argument("--weights", type=_weights_flag, default=DEFAULT_WEIGHTS)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_flag, default=0)
     p.add_argument("--out", required=True, help="assignments CSV path")
 
     p = sub.add_parser("tune", help="random search over weights and cluster count")
     p.add_argument("--trajectories", required=True)
     p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_flag, default=0)
     p.add_argument("--out", default=None, help="trial log CSV path")
 
     p = sub.add_parser("survival", help="whole-cohort survival metrics")
@@ -101,22 +106,24 @@ def build_parser() -> _Parser:
     p.add_argument("--covariates", required=True)
     p.add_argument("--trees", type=int, default=100)
     p.add_argument("--mtry", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_flag, default=0)
     p.add_argument("--test-size", type=float, default=0.25)
 
     p = sub.add_parser("run", help="run the full pipeline")
+    # dest is the PipelineConfig field each flag sets
     p.add_argument("--config", default=None, help="INI configuration file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--weights", type=_weights_flag, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--min-support", type=int, default=None)
-    p.add_argument("--top-k", type=int, default=None)
-    p.add_argument("--trees", type=int, default=None)
-    p.add_argument("--synth", type=int, default=None, help="synthesize this many patients")
-    p.add_argument("--tune-budget", type=int, default=None)
-    p.add_argument("--trajectories", default=None)
-    p.add_argument("--covariates", default=None)
+    p.add_argument("--seed", type=_seed_flag)
+    p.add_argument("--out", dest="out_dir", metavar="OUT")
+    p.add_argument("--weights", type=_weights_flag)
+    p.add_argument("--k", type=int)
+    p.add_argument("--min-support", type=int)
+    p.add_argument("--top-k", type=int)
+    p.add_argument("--trees", type=int)
+    p.add_argument("--synth", type=int, dest="synth_patients", metavar="SYNTH",
+                   help="synthesize this many patients")
+    p.add_argument("--tune-budget", type=int)
+    p.add_argument("--trajectories", dest="trajectory_csv", metavar="TRAJECTORIES")
+    p.add_argument("--covariates", dest="covariate_csv", metavar="COVARIATES")
 
     p = sub.add_parser("export-sankey", help="transition flows between stay positions")
     p.add_argument("--trajectories", required=True)
@@ -125,67 +132,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     return parser
-
-
-_CONFIG_FIELDS = {
-    ("run", "seed"): ("seed", int),
-    ("run", "out"): ("out_dir", str),
-    ("data", "trajectories"): ("trajectory_csv", str),
-    ("data", "covariates"): ("covariate_csv", str),
-    ("data", "synth_patients"): ("synth_patients", int),
-    ("data", "synth_max_len"): ("synth_max_len", int),
-    ("data", "horizon_days"): ("horizon_days", float),
-    ("metric", "weights"): (
-        "weights",
-        lambda raw: MetricWeights.from_sequence([int(p) for p in raw.split(",")]),
-    ),
-    ("metric", "tune_budget"): ("tune_budget", int),
-    ("cluster", "k"): ("k", int),
-    ("mining", "min_support"): ("min_support", int),
-    ("mining", "max_len"): ("mining_max_len", int),
-    ("mining", "top_k"): ("top_k", int),
-    ("survival", "trees"): ("trees", int),
-    ("survival", "mtry"): ("mtry", int),
-    ("survival", "test_size"): ("test_size", float),
-    ("survival", "use_age"): ("use_age", bool),
-    ("survival", "reference_year"): ("reference_year", int),
-    ("report", "positions"): ("positions", int),
-    ("report", "sankey_pairs"): ("sankey_pairs", int),
-}
-
-
-def apply_config_file(cfg: PipelineConfig, path: str) -> None:
-    # no interpolation, like the manifest writer: '%' is literal
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        read = parser.read(path)
-        entries = [
-            (section, key, raw)
-            for section in parser.sections()
-            for key, raw in parser.items(section)
-        ]
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot parse config file {path!r}: {exc}") from None
-    if not read:
-        raise DataError(f"cannot read config file {path!r}")
-    for section, key, raw in entries:
-        spec = _CONFIG_FIELDS.get((section, key))
-        if spec is None:
-            raise DataError(f"{path}: unknown config key [{section}] {key}")
-        field, kind = spec
-        raw = raw.strip()
-        if raw == "":
-            continue
-        if kind is bool:
-            if raw.lower() not in ("true", "false"):
-                raise DataError(f"{path}: [{section}] {key} must be true or false")
-            value = raw.lower() == "true"
-        else:
-            try:
-                value = kind(raw)
-            except ValueError:
-                raise DataError(f"{path}: bad value {raw!r} for [{section}] {key}") from None
-        setattr(cfg, field, value)
 
 
 def _cmd_synth(args) -> int:
@@ -249,7 +195,7 @@ def _cmd_tune(args) -> int:
     best, log = tune_search(trajectories, db, budget=args.budget, seed=args.seed)
     if args.out:
         write_trial_log(args.out, log)
-    w = ",".join(str(x) for x in best.weights.as_tuple())
+    w = setting_text(best.weights)
     print(f"best trial {best.trial_index}: weights {w} k {best.k} score {best.score!r}")
     return 0
 
@@ -273,21 +219,8 @@ def _cmd_run(args) -> int:
     cfg = PipelineConfig()
     if args.config:
         apply_config_file(cfg, args.config)
-    overrides = {
-        "seed": args.seed,
-        "out_dir": args.out,
-        "weights": args.weights,
-        "k": args.k,
-        "min_support": args.min_support,
-        "top_k": args.top_k,
-        "trees": args.trees,
-        "synth_patients": args.synth,
-        "tune_budget": args.tune_budget,
-        "trajectory_csv": args.trajectories,
-        "covariate_csv": args.covariates,
-    }
-    for field, value in overrides.items():
-        if value is not None:
+    for field, value in vars(args).items():
+        if value is not None and field not in ("command", "config"):
             setattr(cfg, field, value)
     result = run_pipeline(cfg)
     print(f"wrote artifacts to {result.out_dir}")

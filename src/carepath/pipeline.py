@@ -16,7 +16,7 @@ import csv
 import platform
 import shutil
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -93,6 +93,8 @@ class PipelineConfig:
             raise DataError(
                 "configure exactly one data source: synth_patients or both CSV paths"
             )
+        if self.seed < 0:
+            raise DataError("seed must be >= 0")
         if self.k < 1:
             raise DataError("k must be >= 1")
         if self.tune_budget < 0:
@@ -108,6 +110,94 @@ class PipelineConfig:
             raise DataError("top_k must be >= 1")
         if self.positions < 1 or self.sankey_pairs < 0:
             raise DataError("bad report geometry")
+
+
+def parse_weights(text: str) -> MetricWeights:
+    """Weights from their ``category,care_type,counter,severity`` text."""
+    try:
+        values = [int(p) for p in text.split(",")]
+    except ValueError:
+        raise DataError("weights must be integers") from None
+    return MetricWeights.from_sequence(values)
+
+
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(text)
+    return text.lower() == "true"
+
+
+# The one schema of run settings, read from config files and written to
+# manifest.ini in this order: [section] key -> (PipelineConfig field, parser).
+SETTINGS = {
+    ("run", "seed"): ("seed", int),
+    ("run", "out"): ("out_dir", str),
+    ("data", "trajectories"): ("trajectory_csv", str),
+    ("data", "covariates"): ("covariate_csv", str),
+    ("data", "synth_patients"): ("synth_patients", int),
+    ("data", "synth_max_len"): ("synth_max_len", int),
+    ("data", "horizon_days"): ("horizon_days", float),
+    ("metric", "weights"): ("weights", parse_weights),
+    ("metric", "tune_budget"): ("tune_budget", int),
+    ("cluster", "k"): ("k", int),
+    ("mining", "min_support"): ("min_support", int),
+    ("mining", "max_len"): ("mining_max_len", int),
+    ("mining", "top_k"): ("top_k", int),
+    ("survival", "trees"): ("trees", int),
+    ("survival", "mtry"): ("mtry", int),
+    ("survival", "test_size"): ("test_size", float),
+    ("survival", "use_age"): ("use_age", _parse_bool),
+    ("survival", "reference_year"): ("reference_year", int),
+    ("report", "positions"): ("positions", int),
+    ("report", "sankey_pairs"): ("sankey_pairs", int),
+}
+
+
+def setting_text(value) -> str:
+    """A setting as config-file text; the ``SETTINGS`` parsers read it back."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, MetricWeights):
+        return ",".join(str(w) for w in value.as_tuple())
+    return str(value)
+
+
+def _ini() -> configparser.ConfigParser:
+    # no interpolation: '%' in a value, such as an input path, is literal
+    return configparser.ConfigParser(interpolation=None)
+
+
+def apply_config_file(cfg: PipelineConfig, path) -> None:
+    """Set ``cfg`` from an INI file of ``SETTINGS`` keys; blank values are skipped."""
+    parser = _ini()
+    try:
+        read = parser.read(path)
+        entries = [
+            (section, key, raw)
+            for section in parser.sections()
+            for key, raw in parser.items(section)
+        ]
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot parse config file {path!r}: {exc}") from None
+    if not read:
+        raise DataError(f"cannot read config file {path!r}")
+    for section, key, raw in entries:
+        spec = SETTINGS.get((section, key))
+        if spec is None:
+            raise DataError(f"{path}: unknown config key [{section}] {key}")
+        field, parse = spec
+        raw = raw.strip()
+        if raw == "":
+            continue
+        try:
+            value = parse(raw)
+        except ValueError:
+            raise DataError(f"{path}: bad value {raw!r} for [{section}] {key}") from None
+        setattr(cfg, field, value)
 
 
 @dataclass(frozen=True)
@@ -543,44 +633,19 @@ def holdout_rsf(
 def _write_manifest(
     path: Path, cfg: PipelineConfig, weights: MetricWeights, k: int, tuned: bool
 ) -> None:
-    # no interpolation: input paths are recorded literally, '%' included
-    parser = configparser.ConfigParser(interpolation=None)
-    parser["versions"] = {
-        "carepath": __version__,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-    }
-    data = {}
-    if cfg.synth_patients > 0:
-        data["synth_patients"] = str(cfg.synth_patients)
-        data["synth_max_len"] = str(cfg.synth_max_len)
-        data["horizon_days"] = repr(cfg.horizon_days)
-    else:
-        data["trajectories"] = str(cfg.trajectory_csv)
-        data["covariates"] = str(cfg.covariate_csv)
-    parser["run"] = {"seed": str(cfg.seed)}
-    parser["data"] = data
-    parser["metric"] = {
-        "weights": ",".join(str(w) for w in weights.as_tuple()),
-        "tune_budget": str(cfg.tune_budget),
-        "tuned": str(tuned).lower(),
-    }
-    parser["cluster"] = {"k": str(k)}
-    parser["mining"] = {
-        "min_support": str(cfg.min_support),
-        "max_len": str(cfg.mining_max_len),
-        "top_k": str(cfg.top_k),
-    }
-    parser["survival"] = {
-        "trees": str(cfg.trees),
-        "mtry": "" if cfg.mtry is None else str(cfg.mtry),
-        "test_size": repr(cfg.test_size),
-        "use_age": str(cfg.use_age).lower(),
-        "reference_year": str(cfg.reference_year),
-    }
-    parser["report"] = {
-        "positions": str(cfg.positions),
-        "sankey_pairs": str(cfg.sankey_pairs),
-    }
+    chosen = replace(cfg, weights=weights, k=k)
+    unused = {"out_dir"} | (
+        {"trajectory_csv", "covariate_csv"}
+        if cfg.synth_patients > 0
+        else {"synth_patients", "synth_max_len", "horizon_days"}
+    )
+    python = platform.python_version()
+    sections = {"versions": {"carepath": __version__, "python": python, "numpy": np.__version__}}
+    for (section, key), (field, _) in SETTINGS.items():
+        if field not in unused:
+            sections.setdefault(section, {})[key] = setting_text(getattr(chosen, field))
+    sections["metric"]["tuned"] = setting_text(tuned)  # after tune_budget, the last key
+    parser = _ini()
+    parser.read_dict(sections)
     with open(path, "w") as fh:
         parser.write(fh)

@@ -210,9 +210,6 @@ class CoxModel:
     covariate_means: np.ndarray
     n_iter: int
 
-    def linear_predictor(self, X: np.ndarray) -> np.ndarray:
-        return (np.asarray(X, dtype=float) - self.covariate_means) @ self.beta
-
 
 def _breslow_stats(Xc, T, E, beta):
     # one descending-time sweep accumulating risk-set sums; each event

@@ -78,8 +78,8 @@ def generate(
     ``max_len`` caps the number of hospitalizations; the death marker may
     extend a trajectory by one position.  With ``anchor_code`` every
     trajectory opens on that code instead of a pool draw.  Follow-up is
-    censored administratively at ``horizon_days``, and the event indicator
-    is 0 exactly when the drawn survival time exceeds the horizon.
+    censored at ``horizon_days`` (``inf`` censors nothing), and the event
+    indicator is 0 exactly when the drawn survival time exceeds the horizon.
     """
     if not archetypes:
         raise DataError("no archetypes")
@@ -87,7 +87,7 @@ def generate(
         raise DataError("n_per_archetype must be >= 1")
     if max_len < 1:
         raise DataError("max_len must be >= 1")
-    if horizon_days <= 0:
+    if not horizon_days > 0:  # NaN fails this too
         raise DataError("horizon_days must be positive")
     anchor = None
     if anchor_code is not None:

@@ -6,6 +6,7 @@ import pytest
 
 from carepath import cli
 from carepath.errors import DataError, NumericError
+from carepath.metric import MetricWeights
 from carepath.pipeline import PipelineConfig, StageError
 
 
@@ -33,6 +34,33 @@ class TestExitCodes:
                     ["dist", "--trajectories", "x.csv", "--weights", bad, "--out", "y.csv"]
                 )
             assert excinfo.value.code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--n", "20", "--out", "c"],
+            ["cluster", "--trajectories", "t.csv", "--k", "2", "--out", "a.csv"],
+            ["tune", "--trajectories", "t.csv", "--budget", "2"],
+            ["survival", "--trajectories", "t.csv", "--covariates", "c.csv"],
+            ["run", "--synth", "30"],
+            ["run", "--trajectories", "t.csv", "--covariates", "c.csv"],
+        ],
+        ids=["synth", "cluster", "tune", "survival", "run-synth", "run-csv"],
+    )
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_flag_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, seed):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv + ["--seed", seed])
+        assert excinfo.value.code == 1
+        assert "argument --seed: expected a non-negative integer" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nan_horizon_is_a_data_error(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        code = cli.main(["synth", "--n", "20", "--horizon", "nan", "--out", str(out)])
+        assert code == 2
+        assert "horizon_days must be positive" in capsys.readouterr().err
 
     def test_missing_input_file_is_a_data_error(self, tmp_path):
         assert cli.main(["mine", "--trajectories", str(tmp_path / "nope.csv")]) == 2
@@ -319,6 +347,55 @@ class TestRunCommand:
         assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
         assert "mtry" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["synth", "csv"])
+    def test_negative_seed_in_config_fails_before_writing(self, tmp_path, capsys, source):
+        cohort = synth_dir(tmp_path)
+        data = (
+            "synth_patients = 30"
+            if source == "synth"
+            else f"trajectories = {cohort}/trajectories.csv\ncovariates = {cohort}/covariates.csv"
+        )
+        config = tmp_path / "run.ini"
+        config.write_text(f"[run]\nseed = -1\n\n[data]\n{data}\n")
+        out = tmp_path / "artifacts"
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be >= 0" in err and "stage" not in err
+        assert not out.exists()
+
+    def test_nan_horizon_in_config_is_a_data_error(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text("[data]\nsynth_patients = 30\nhorizon_days = nan\n")
+        out = tmp_path / "artifacts"
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert "horizon_days must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_flag_sets_its_config_field(self, tmp_path, monkeypatch):
+        config = tmp_path / "run.ini"
+        config.write_text("[run]\nseed = 9\nout = from-file\n\n[mining]\ntop_k = 7\n")
+        seen = []
+
+        def capture(cfg):
+            seen.append(cfg)
+            raise DataError("captured")
+
+        monkeypatch.setattr(cli, "run_pipeline", capture)
+        argv = [
+            "run", "--config", str(config), "--seed", "4", "--out", "o",
+            "--weights", "90,80,70,60", "--k", "6", "--min-support", "3",
+            "--trees", "11", "--synth", "50", "--tune-budget", "2",
+            "--trajectories", "t.csv", "--covariates", "c.csv",
+        ]
+        assert cli.main(argv) == 2
+        assert seen == [
+            PipelineConfig(
+                seed=4, out_dir="o", weights=MetricWeights(90, 80, 70, 60), k=6,
+                min_support=3, top_k=7, trees=11, synth_patients=50, tune_budget=2,
+                trajectory_csv="t.csv", covariate_csv="c.csv",
+            )
+        ]
 
     @pytest.mark.parametrize("setting", ["top_k", "max_len"])
     def test_bad_mining_setting_fails_before_any_stage(self, tmp_path, capsys, setting):

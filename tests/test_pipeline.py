@@ -346,6 +346,11 @@ class TestRunPipeline:
         parser.read(result.out_dir / "manifest.ini")
         assert parser["data"]["trajectories"] == str(tpath)
 
+    def test_negative_seed_rejected_up_front(self, tmp_path):
+        with pytest.raises(DataError, match="seed must be >= 0"):
+            run_pipeline(self.config(tmp_path, seed=-1))
+        assert not (tmp_path / "run").exists()
+
     def test_non_empty_out_dir_rejected_up_front(self, tmp_path):
         out = tmp_path / "run"
         out.mkdir()

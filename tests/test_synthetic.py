@@ -80,6 +80,19 @@ def test_event_flags_follow_the_horizon(small_cohort):
         assert (r.event == 0) == (r.time == horizon)
 
 
+@pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan")])
+def test_horizon_must_be_positive(horizon):
+    with pytest.raises(DataError, match="horizon_days"):
+        generate(blob_archetypes(), 5, max_len=4, seed=0, horizon_days=horizon)
+
+
+def test_infinite_horizon_censors_nothing():
+    _, records, _ = generate(
+        blob_archetypes(), 10, max_len=4, seed=0, horizon_days=float("inf")
+    )
+    assert all(r.event == 1 and np.isfinite(r.time) for r in records)
+
+
 def test_certain_death_hazard_cuts_trajectories_short():
     spec = blob_archetypes()[0]
     certain = ArchetypeSpec(**{**spec.__dict__, "death_hazard": 1.0})
