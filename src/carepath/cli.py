@@ -135,8 +135,6 @@ def build_parser() -> _Parser:
 
 
 def _cmd_synth(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     trajectories, records, _ = generate_cohort(
         args.n,
         seed=args.seed,
@@ -144,6 +142,8 @@ def _cmd_synth(args) -> int:
         horizon_days=args.horizon,
         anchored=not args.no_anchor,
     )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_trajectories_csv(out / "trajectories.csv", trajectories)
     write_covariates_csv(out / "covariates.csv", records)
     print(f"wrote {len(trajectories)} patients to {out}")

@@ -56,11 +56,21 @@ class TestExitCodes:
         assert "argument --seed: expected a non-negative integer" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_nan_horizon_is_a_data_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--horizon", "nan", "horizon_days must be positive"),
+            ("--max-len", "0", "max_len must be >= 1"),
+            ("--n", "0", "need at least 4 patients"),
+        ],
+        ids=["nan-horizon", "max-len", "n"],
+    )
+    def test_bad_synth_setting_is_a_data_error(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "c"
-        code = cli.main(["synth", "--n", "20", "--horizon", "nan", "--out", str(out)])
-        assert code == 2
-        assert "horizon_days must be positive" in capsys.readouterr().err
+        argv = ["synth", "--n", "20", "--out", str(out), flag, value]
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_file_is_a_data_error(self, tmp_path):
         assert cli.main(["mine", "--trajectories", str(tmp_path / "nope.csv")]) == 2
