@@ -232,6 +232,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_export_sankey(args) -> int:
+    if args.pairs < 0:
+        raise DataError("--pairs must be >= 0")
     trajectories = load_trajectories(args.trajectories)
     pairs = [(i, i + 1) for i in range(args.pairs)]
     write_sankey_csv(args.out, sankey_flows(trajectories, pairs, args.top_k))

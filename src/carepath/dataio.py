@@ -156,6 +156,18 @@ def load_dataset(
 
 
 def write_trajectories_csv(path, trajectories: Sequence[PatientTrajectory]) -> None:
+    """Write one row per stay; a code whose rendering would read back as
+    another code raises :class:`DataError` before the file is opened."""
+    for code in dict.fromkeys(c for traj in trajectories for c in traj.codes):
+        try:
+            same = code.is_death or parse_code(code.render()) == code
+        except CodeError:
+            same = False
+        if not same:
+            raise DataError(
+                f"code {code!r} would be written as {code.render()!r}, "
+                "which reads back as another code"
+            )
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRAJECTORY_HEADER)

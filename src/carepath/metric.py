@@ -65,6 +65,9 @@ class MetricWeights:
     def from_sequence(cls, values: Sequence[int]) -> "MetricWeights":
         if len(values) != 4:
             raise DataError(f"expected 4 weights, got {len(values)}")
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise DataError(f"weights must be integers, got {v!r}")
         return cls(*(int(v) for v in values))
 
 

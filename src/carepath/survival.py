@@ -11,12 +11,17 @@ prediction, batch risk scores, scenario curves) share one batched descent
 that routes all rows through each tree with one comparison per split node,
 then add the reached leaves' hazards tree by tree in tree order.
 
-A node's split search scores every threshold of a drawn covariate in one
-pass (the log-rank split rule of Ishwaran et al., 2008).  One ``bincount``
-over (covariate level, time rank) counts records and deaths; cumulative sums
-over levels and then, reversed, over time give the left group's deaths and
-risk sets for every midpoint threshold.  The statistic's numerator and
-variance are row sums that add in :func:`logrank_statistic`'s order, so the
+A forest ranks its covariates and follow-up times once; bootstrap rows
+index those ranks, so trees grow on integers.  A node's split search scores
+every threshold of all drawn covariates in one pass (the log-rank split
+rule of Ishwaran et al., 2008).  The node's levels are the forest levels
+present in it, so its midpoint thresholds are the same floats; its columns
+are its death times, and each record falls in the last one at or before its
+time.  One ``bincount`` over (level, column) counts records and deaths;
+cumulative sums over each covariate's levels and then over columns give the
+left group's deaths and risk sets for every threshold.  The statistic's
+numerator and variance are row sums that add in :func:`logrank_statistic`'s
+order, and the first maximum in (covariate, threshold) order wins, so the
 trees equal those of a per-threshold search.  A node with fewer than
 ``2 * min_leaf`` records still draws its covariates, then stays a leaf.
 """
@@ -366,73 +371,97 @@ class SurvivalForest:
     reference_year: int = DEFAULT_REFERENCE_YEAR
 
 
-def _leaf(T, E) -> dict:
-    times, chf = _nelson_aalen_arrays(T, E)
-    return {"times": times, "chf": chf}
+def _forest_ranks(X: np.ndarray, T: np.ndarray):
+    """Each row's codes into the forest's levels (every column's sorted distinct
+    values, column after column), its time's rank among the sorted distinct
+    times, and ``(levels, column of each level, first level of that column,
+    times)``."""
+    columns = [np.unique(column, return_inverse=True) for column in X.T]
+    sizes = [levels.size for levels, _ in columns]
+    starts = np.cumsum([0] + sizes[:-1])
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    codes = np.column_stack([inverse for _, inverse in columns]) + starts
+    times, t = np.unique(T, return_inverse=True)
+    levels = np.concatenate([levels for levels, _ in columns])
+    return codes, t, (levels, owner, starts[owner], times)
 
 
-def _best_split(X, T, E, rng, mtry, min_leaf):
-    n, p = X.shape
+def _leaf(t, E, times) -> dict:
+    # Nelson-Aalen on time ranks: records at rank >= j are at risk at rank j
+    counts = np.bincount(t)
+    d = np.bincount(t[E == 1], minlength=counts.size)
+    has = np.flatnonzero(d)
+    at_risk = len(t) - np.cumsum(counts) + counts
+    return {"times": times[has], "chf": np.cumsum(d[has] / at_risk[has])}
+
+
+def _best_split(codes, t, E, scale, rng, mtry, min_leaf):
+    n, p = codes.shape
     feats = np.sort(rng.choice(p, size=min(mtry, p), replace=False))
     if n < 2 * min_leaf:
         return None
-    uniq, ranks = np.unique(T, return_inverse=True)
-    u = uniq.size
+    levels, owner, first, _ = scale
     events = E == 1
-    d = np.bincount(ranks[events], minlength=u)
-    at_risk = np.cumsum(np.bincount(ranks, minlength=u)[::-1])[::-1]
-    has = d > 0
-    d_e, y_e = d[has], at_risk[has]
+    d = np.bincount(t[events])
+    # the node's event times are its columns; a record's column is one past
+    # the last event time at or before its time, so column 0 is never at risk
+    cols = d.nonzero()[0]
+    m = cols.size + 1
+    col = cols.searchsorted(t, side="right")
+    d_e, y_e = d[cols], n - np.bincount(col, minlength=m).cumsum()[:-1]
     ok = y_e > 1
     d_ok, y_ok = d_e[ok], y_e[ok]
 
-    best_stat = 0.0
-    best = None
-    for f in feats:
-        vals = X[:, f]
-        levels, lev = np.unique(vals, return_inverse=True)
-        L = levels.size
-        thresholds = (levels[:-1] + levels[1:]) / 2.0
-        # last level <= each threshold (adjacent floats' midpoint may be the upper one)
-        rows = np.searchsorted(levels, thresholds, side="right") - 1
-        n_left = np.cumsum(np.bincount(lev, minlength=L))[rows]
-        valid = np.flatnonzero((n_left >= min_leaf) & (n - n_left >= min_leaf))
-        if not valid.size:
-            continue
-        # level x time counts, cumulated over levels: row i = levels 0..i
-        cells = lev * u + ranks
-        in1 = np.bincount(cells, minlength=L * u).reshape(L, u).cumsum(axis=0)
-        d1 = np.bincount(cells[events], minlength=L * u).reshape(L, u).cumsum(axis=0)
-        at_risk1 = in1[rows[valid]][:, ::-1].cumsum(axis=1)[:, ::-1]
-        # a column mask yields a Fortran-ordered copy, whose rows would sum
-        # in another order than the 1-D sums of logrank_statistic
-        frac = np.ascontiguousarray(at_risk1[:, has]) / y_e
-        num = (np.ascontiguousarray(d1[rows[valid]][:, has]) - d_e * frac).sum(axis=1)
-        frac = np.ascontiguousarray(frac[:, ok])
-        var = (d_ok * frac * (1.0 - frac) * (y_ok - d_ok) / (y_ok - 1.0)).sum(axis=1)
-        stat = np.abs(num) / np.sqrt(np.where(var > 0.0, var, np.inf))
-        j = int(np.argmax(stat))
-        if stat[j] > best_stat:
-            best_stat = stat[j]
-            best = (int(f), float(thresholds[valid[j]]))
-    if best is None:
+    # (records, deaths) x level x column counts over the drawn covariates'
+    # levels; the other covariates' levels stay empty
+    cells = codes[:, feats] * m + col[:, None]
+    size = levels.size * m
+    both = np.concatenate((cells.ravel(), cells[events].ravel() + size))
+    counts = np.bincount(both, minlength=2 * size).reshape(2, levels.size, m)
+    per_level = counts[0].sum(axis=1)
+    present = per_level.nonzero()[0]
+    pairs = (owner[present[:-1]] == owner[present[1:]]).nonzero()[0]
+    lo, hi = present[pairs], present[pairs + 1]
+    thresholds = (levels[lo] + levels[hi]) / 2.0
+    # last level <= each threshold (adjacent floats' midpoint may be the upper one)
+    rows = np.where(thresholds < levels[hi], lo, hi)
+    # cumulated over levels, less the levels of earlier covariates: row i
+    # counts the node's records at or below level i of its covariate
+    below = per_level.cumsum()
+    n_left = below[rows] - below[first[rows]] + per_level[first[rows]]
+    valid = (n_left >= min_leaf) & (n - n_left >= min_leaf)
+    if not valid.any():
         return None
-    feature, threshold = best
-    return feature, threshold, X[:, feature] <= threshold
+    rows, thresholds = rows[valid], thresholds[valid]
+    cum = counts.cumsum(axis=1)
+    left = cum[:, rows] - cum[:, first[rows]] + counts[:, first[rows]]
+    in1 = left[0].cumsum(axis=1)
+    frac = (in1[:, -1:] - in1[:, :-1]) / y_e
+    num = (left[1][:, 1:] - d_e * frac).sum(axis=1)
+    # a column mask yields a Fortran-ordered copy, whose rows would sum
+    # in another order than the 1-D sums of logrank_statistic
+    frac = np.ascontiguousarray(frac[:, ok])
+    var = (d_ok * frac * (1.0 - frac) * (y_ok - d_ok) / (y_ok - 1.0)).sum(axis=1)
+    stat = np.abs(num) / np.sqrt(np.where(var > 0.0, var, np.inf))
+    j = int(stat.argmax())
+    if not stat[j] > 0.0:
+        return None
+    feature = int(owner[rows[j]])
+    return feature, float(thresholds[j]), codes[:, feature] <= rows[j]
 
 
-def _grow(X, T, E, rng, mtry, min_split, min_leaf) -> dict:
-    if len(T) < min_split:
-        return _leaf(T, E)
-    split = _best_split(X, T, E, rng, mtry, min_leaf)
+def _grow(codes, t, E, scale, rng, mtry, min_split, min_leaf) -> dict:
+    if len(t) < min_split:
+        return _leaf(t, E, scale[-1])
+    split = _best_split(codes, t, E, scale, rng, mtry, min_leaf)
     if split is None:
-        return _leaf(T, E)
+        return _leaf(t, E, scale[-1])
     feature, threshold, mask = split
     return {
         "feature": feature,
         "threshold": threshold,
-        "left": _grow(X[mask], T[mask], E[mask], rng, mtry, min_split, min_leaf),
-        "right": _grow(X[~mask], T[~mask], E[~mask], rng, mtry, min_split, min_leaf),
+        "left": _grow(codes[mask], t[mask], E[mask], scale, rng, mtry, min_split, min_leaf),
+        "right": _grow(codes[~mask], t[~mask], E[~mask], scale, rng, mtry, min_split, min_leaf),
     }
 
 
@@ -466,15 +495,17 @@ def rsf_fit(
     if mtry < 1:
         raise DataError("mtry must be >= 1")
 
+    codes, t, scale = _forest_ranks(X, T)
     trees: list[dict] = []
     boots: list[np.ndarray] = []
     for tree_index in range(n_estimators):
         rng = np.random.default_rng([seed, tree_index])
         idx = rng.integers(0, n, size=n)
         boots.append(idx)
-        trees.append(
-            _grow(X[idx], T[idx], E[idx], rng, mtry, min_samples_split, min_samples_leaf)
+        grown = _grow(
+            codes[idx], t[idx], E[idx], scale, rng, mtry, min_samples_split, min_samples_leaf
         )
+        trees.append(grown)
     return SurvivalForest(
         trees=trees,
         bootstrap_indices=boots,

@@ -251,6 +251,16 @@ class TestCommands:
             "source_pos,source_code,target_pos,target_code,count"
         )
 
+    def test_export_sankey_rejects_negative_pairs(self, tmp_path, capsys):
+        out = synth_dir(tmp_path)
+        capsys.readouterr()  # drop the synth chatter
+        target = tmp_path / "sankey.csv"
+        argv = ["export-sankey", "--trajectories", str(out / "trajectories.csv")]
+        code = cli.main(argv + ["--pairs", "-1", "--out", str(target)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not target.exists()
+
 
 class TestRunCommand:
     def test_flag_driven_run(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+from carepath.codes import DEATH, StayCode
 from carepath.dataio import (
     COVARIATE_HEADER,
     TRAJECTORY_HEADER,
@@ -9,6 +10,8 @@ from carepath.dataio import (
     write_covariates_csv,
     write_trajectories_csv,
 )
+from carepath.errors import DataError
+from carepath.metric import PatientTrajectory
 
 
 def write_lines(path, lines):
@@ -86,6 +89,26 @@ class TestLoadTrajectories:
         path = write_lines(tmp_path / "t.csv", [TRAJ_HEADER, "A,0"])
         with pytest.raises(DatasetError, match="expected 3 fields"):
             load_trajectories(path)
+
+
+class TestWriteTrajectories:
+    def test_code_that_reads_back_as_another_is_refused(self, tmp_path):
+        # renders as 05M092, which parses as StayCode("05", "M", "09", "2")
+        odd = StayCode("05M", "0", "9", "2")
+        trajectories = [
+            PatientTrajectory("A", (StayCode("05", "M", "09", "2"), DEATH)),
+            PatientTrajectory("B", (odd,)),
+        ]
+        path = tmp_path / "t.csv"
+        with pytest.raises(DataError, match="reads back as another code"):
+            write_trajectories_csv(path, trajectories)
+        assert not path.exists()
+
+    def test_canonical_codes_round_trip(self, tmp_path):
+        trajectories = [PatientTrajectory("A", (StayCode("05", "M", "09", "_"), DEATH))]
+        path = tmp_path / "t.csv"
+        write_trajectories_csv(path, trajectories)
+        assert load_trajectories(path) == trajectories
 
 
 class TestLoadDataset:

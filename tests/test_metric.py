@@ -52,6 +52,19 @@ class TestWeights:
         with pytest.raises(DataError):
             MetricWeights.from_sequence([85, 75, 55])
 
+    def test_from_sequence_takes_numpy_integers(self):
+        got = MetricWeights.from_sequence(np.array([85, 75, 55, 40], dtype=np.int32))
+        assert got == WEIGHTS
+        assert all(type(w) is int for w in got.as_tuple())
+
+    @pytest.mark.parametrize(
+        "values",
+        [[85.9, 75, 55, 40.2], [85.0, 75, 55, 40], ["85", 75, 55, 40], [85, 75, 55, True]],
+    )
+    def test_from_sequence_rejects_non_integers(self, values):
+        with pytest.raises(DataError, match="weights must be integers"):
+            MetricWeights.from_sequence(values)
+
 
 class TestCodeDistance:
     def test_adjacent_severity_costs_one_severity_third(self):

@@ -13,6 +13,9 @@ from carepath.errors import DataError
 from carepath.survival import (
     SurvivalRecord,
     _best_split,
+    _forest_ranks,
+    _leaf,
+    _nelson_aalen_arrays,
     logrank_statistic,
     record_covariates,
     rsf_fit,
@@ -131,6 +134,16 @@ def _mirrored_nodes(draw):
     return np.column_stack([x, -x]), T, E, 2, draw(st.integers(1, 7)), 0
 
 
+@st.composite
+def _nodes_of_larger_samples(draw):
+    """A node of bootstrap rows and the larger sample the forest ranks: the
+    sample's levels and times that the node lacks fall between its own."""
+    sample = draw(_split_nodes())
+    n = len(sample[1])
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=max(1, n // 2), max_size=n))
+    return sample, np.array(rows)
+
+
 def _node(n, min_leaf, events):
     rng = np.random.default_rng(n)
     X = np.column_stack([np.arange(n) >= n // 2, rng.integers(0, 3, n), np.zeros(n)]).astype(float)
@@ -138,11 +151,32 @@ def _node(n, min_leaf, events):
     return X, T, np.asarray(events)[:n], 3, min_leaf, 1
 
 
-def assert_split_matches_oracle(node):
+def _node_without_middle_levels():
+    """Levels 2 and 1 + 2**-52 of the sample are missing from the node, so
+    the midpoints between the node's levels are exactly those levels; the
+    sample's deaths at times 2, 8, 14 and 20 are on rows the node lacks."""
+    step = np.nextafter(1.0, 2.0)
+    levels = np.array([[1.0, 1.0], [2.0, step], [3.0, np.nextafter(step, 2.0)]])
+    X = np.tile(levels, (8, 1))
+    T = np.arange(1.0, 25.0)
+    E = (np.arange(24) % 2).astype(int)
+    return (X, T, E, 2, 2, 0), np.flatnonzero(np.arange(24) % 3 != 1)
+
+
+def split_of(X, T, E, rng, mtry, min_leaf, rows=None):
+    """``_best_split`` on ``rows`` of a sample ranked as a forest's (all rows
+    by default)."""
+    rows = np.arange(len(T)) if rows is None else rows
+    codes, t, scale = _forest_ranks(X, T)
+    return _best_split(codes[rows], t[rows], E[rows], scale, rng, mtry, min_leaf)
+
+
+def assert_split_matches_oracle(node, rows=None):
     X, T, E, mtry, min_leaf, seed = node
+    rows = np.arange(len(T)) if rows is None else rows
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = _best_split(X, T, E, rng, mtry, min_leaf)
-    want = helpers.oracle_best_split(X, T, E, oracle_rng, mtry, min_leaf)
+    got = split_of(X, T, E, rng, mtry, min_leaf, rows)
+    want = helpers.oracle_best_split(X[rows], T[rows], E[rows], oracle_rng, mtry, min_leaf)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
     if want is None:
         assert got is None
@@ -170,10 +204,47 @@ class TestSplitSearchMatchesOracle:
         # which one wins depends on every row sum adding in the oracle's order
         assert_split_matches_oracle(node)
 
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_nodes_of_larger_samples())
+    @example(_node_without_middle_levels())
+    def test_node_ranked_within_a_larger_sample(self, sample_and_rows):
+        assert_split_matches_oracle(*sample_and_rows)
+
     def test_boundary_examples_split_as_expected(self):
         below, at = _node(9, 5, [1] * 9), _node(10, 5, [1] * 10)
-        assert _best_split(*below[:3], np.random.default_rng(1), 3, 5) is None
-        assert _best_split(*at[:3], np.random.default_rng(1), 3, 5) is not None
+        assert split_of(*below[:3], np.random.default_rng(1), 3, 5) is None
+        assert split_of(*at[:3], np.random.default_rng(1), 3, 5) is not None
+
+
+@st.composite
+def _leaf_samples(draw):
+    """Times and events of a sample, and the bootstrap rows of one leaf."""
+    n = draw(st.integers(1, 40))
+    T = _draw_ints(draw, n, 1, draw(st.sampled_from([1, 3, 12, 60]))).astype(float)
+    E = (_draw_ints(draw, n, 0, 9) < draw(st.integers(0, 10))).astype(int)
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    return T, E, np.array(rows)
+
+
+class TestLeafMatchesNelsonAalen:
+    """A leaf built on the forest's time ranks must hold the Nelson-Aalen
+    arrays of its own records, bit for bit."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_leaf_samples())
+    # tied times, with a death and a censoring at the same time
+    @example((np.array([3.0, 1.0, 3.0, 2.0, 3.0]), np.array([1, 0, 1, 1, 0]), np.arange(5)))
+    @example((np.array([5.0, 2.0, 7.0]), np.array([0, 0, 0]), np.array([0, 2])))  # all censored
+    @example((np.array([4.0, 9.0]), np.array([1, 1]), np.array([1])))  # one record
+    @example((np.array([4.0, 6.0, 8.0]), np.array([1, 1, 1]), np.array([2, 0, 2])))  # superset
+    def test_same_times_and_hazards(self, sample):
+        T, E, rows = sample
+        _, t, scale = _forest_ranks(np.zeros((len(T), 1)), T)
+        leaf = _leaf(t[rows], E[rows], scale[-1])
+        times, chf = _nelson_aalen_arrays(T[rows], E[rows])
+        assert leaf["times"].dtype == leaf["chf"].dtype == np.float64
+        assert np.array_equal(leaf["times"], times)
+        assert np.array_equal(leaf["chf"], chf)
 
 
 class TestForestFit:
