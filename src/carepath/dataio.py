@@ -55,40 +55,49 @@ def _float_field(path, row_no, name, raw) -> float:
         raise DatasetError(f"{path} row {row_no}: bad {name} {raw!r}") from None
 
 
+def _rows(path, expected):
+    """The non-blank rows after the header, with their row numbers.  Bytes
+    that do not decode and csv's own errors (such as a field over its size
+    limit) raise :class:`DatasetError` naming the file."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DatasetError(f"{path}: empty file")
+            _check_header(path, header, expected)
+            for row_no, row in enumerate(reader, start=2):
+                if row:
+                    yield row_no, row
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DatasetError(f"{path}: {exc}") from exc
+
+
 def load_trajectories(path) -> list[PatientTrajectory]:
     """Read and group the trajectory table; patients keep first-appearance order."""
     stays: dict[str, list[tuple[int, object]]] = {}
     order: list[str] = []
     seen: set[tuple[str, int]] = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    for row_no, row in _rows(path, TRAJECTORY_HEADER):
+        if len(row) != 3:
+            raise DatasetError(f"{path} row {row_no}: expected 3 fields, got {len(row)}")
+        patient_id, seq_raw, code_raw = row
+        seq_index = _int_field(path, row_no, "seq_index", seq_raw)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file") from None
-        _check_header(path, header, TRAJECTORY_HEADER)
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DatasetError(f"{path} row {row_no}: expected 3 fields, got {len(row)}")
-            patient_id, seq_raw, code_raw = row
-            seq_index = _int_field(path, row_no, "seq_index", seq_raw)
-            try:
-                code = parse_code(code_raw)
-            except CodeError as exc:
-                raise DatasetError(f"{path} row {row_no}: {exc}") from exc
-            key = (patient_id, seq_index)
-            if key in seen:
-                raise DatasetError(
-                    f"{path} row {row_no}: duplicate seq_index {seq_index} "
-                    f"for patient {patient_id!r}"
-                )
-            seen.add(key)
-            if patient_id not in stays:
-                stays[patient_id] = []
-                order.append(patient_id)
-            stays[patient_id].append((seq_index, code))
+            code = parse_code(code_raw)
+        except CodeError as exc:
+            raise DatasetError(f"{path} row {row_no}: {exc}") from exc
+        key = (patient_id, seq_index)
+        if key in seen:
+            raise DatasetError(
+                f"{path} row {row_no}: duplicate seq_index {seq_index} "
+                f"for patient {patient_id!r}"
+            )
+        seen.add(key)
+        if patient_id not in stays:
+            stays[patient_id] = []
+            order.append(patient_id)
+        stays[patient_id].append((seq_index, code))
     if not order:
         raise DatasetError(f"{path}: no trajectory rows")
     out = []
@@ -104,26 +113,15 @@ def load_dataset(
     """Load and join both tables; every trajectory must have a covariate row."""
     trajectories = load_trajectories(trajectory_csv)
     raw: dict[str, tuple[int, list[str]]] = {}
-    with open(covariate_csv, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{covariate_csv}: empty file") from None
-        _check_header(covariate_csv, header, COVARIATE_HEADER)
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(COVARIATE_HEADER):
-                raise DatasetError(
-                    f"{covariate_csv} row {row_no}: expected "
-                    f"{len(COVARIATE_HEADER)} fields, got {len(row)}"
-                )
-            if row[0] in raw:
-                raise DatasetError(
-                    f"{covariate_csv} row {row_no}: duplicate patient {row[0]!r}"
-                )
-            raw[row[0]] = (row_no, row)
+    for row_no, row in _rows(covariate_csv, COVARIATE_HEADER):
+        if len(row) != len(COVARIATE_HEADER):
+            raise DatasetError(
+                f"{covariate_csv} row {row_no}: expected "
+                f"{len(COVARIATE_HEADER)} fields, got {len(row)}"
+            )
+        if row[0] in raw:
+            raise DatasetError(f"{covariate_csv} row {row_no}: duplicate patient {row[0]!r}")
+        raw[row[0]] = (row_no, row)
 
     records = []
     for traj in trajectories:

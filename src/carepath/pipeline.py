@@ -46,7 +46,7 @@ from .survival import (
     rsf_risk_scores,
     scenario_curves,
 )
-from .synthetic import generate_cohort
+from .synthetic import _derived_seed, generate_cohort
 from .tuning import ScoreConfig, tune_search, write_trial_log
 
 NONE_TOKEN = "none"
@@ -301,10 +301,6 @@ class RunResult:
     records: list[SurvivalRecord]
     metrics: list[ClusterMetrics]
     tuned: bool
-
-
-def _derived_seed(*parts: int) -> int:
-    return int(np.random.default_rng(list(parts)).integers(0, 2**31 - 1))
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:

@@ -20,10 +20,11 @@ are its death times, and each record falls in the last one at or before its
 time.  One ``bincount`` over (level, column) counts records and deaths;
 cumulative sums over each covariate's levels and then over columns give the
 left group's deaths and risk sets for every threshold.  The statistic's
-numerator and variance are row sums that add in :func:`logrank_statistic`'s
-order, and the first maximum in (covariate, threshold) order wins, so the
-trees equal those of a per-threshold search.  A node with fewer than
-``2 * min_leaf`` records still draws its covariates, then stays a leaf.
+numerator and variance are row sums that add in the order of the 1-D sums
+of the per-threshold reference (``oracle_best_split`` in
+``tests/helpers.py``), and the first maximum in (covariate, threshold) order
+wins, so the trees equal those of a per-threshold search.  A node with fewer
+than ``2 * min_leaf`` records still draws its covariates, then stays a leaf.
 """
 
 from __future__ import annotations
@@ -133,22 +134,28 @@ class StepFunction:
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
-        if self.times.size == 0:
-            out = np.full(arr.shape, self.initial)
-        else:
-            idx = np.searchsorted(self.times, arr, side="right") - 1
-            out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], self.initial)
+        out = _eval_steps(self.times, self.values, arr, self.initial)
         if arr.ndim == 0:
             return float(out)
         return out
 
 
-def _event_table(T: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # distinct event times with event counts and at-risk counts
-    event_times, d = np.unique(T[E == 1], return_counts=True)
-    sorted_times = np.sort(T)
-    at_risk = len(T) - np.searchsorted(sorted_times, event_times, side="left")
-    return event_times, d, at_risk
+def _eval_steps(times, values, grid, initial: float = 0.0) -> np.ndarray:
+    # the value of the last jump at or before each grid point, else ``initial``
+    if times.size == 0:
+        return np.full(grid.shape, initial)
+    idx = np.searchsorted(times, grid, side="right") - 1
+    return np.where(idx >= 0, values[np.maximum(idx, 0)], initial)
+
+
+def _risk_table(t, E):
+    """Of time ranks ``t``: the ranks holding a death, the deaths there, and
+    the records at risk there (those at that rank or later)."""
+    counts = np.bincount(t)
+    d = np.bincount(t[E == 1], minlength=counts.size)
+    has = np.flatnonzero(d)
+    at_risk = len(t) - np.cumsum(counts) + counts
+    return has, d[has], at_risk[has]
 
 
 def kaplan_meier(records: Sequence[SurvivalRecord]) -> StepFunction:
@@ -160,19 +167,11 @@ def kaplan_meier(records: Sequence[SurvivalRecord]) -> StepFunction:
     if not records:
         raise DataError("no records")
     T, E = times_events(records)
-    times, d, n_risk = _event_table(T, E)
-    if times.size == 0:
-        return StepFunction(np.empty(0), np.empty(0), initial=1.0)
+    times, t = np.unique(T, return_inverse=True)
+    has, d, n_risk = _risk_table(t, E)
     # (n - d) / n rather than 1 - d/n keeps single-event factors exact
     surv = np.cumprod((n_risk - d) / n_risk)
-    return StepFunction(times, surv, initial=1.0)
-
-
-def _nelson_aalen_arrays(T: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    times, d, n_risk = _event_table(T, E)
-    if times.size == 0:
-        return np.empty(0), np.empty(0)
-    return times, np.cumsum(d / n_risk)
+    return StepFunction(times[has], surv, initial=1.0)
 
 
 def nelson_aalen(records: Sequence[SurvivalRecord]) -> StepFunction:
@@ -180,8 +179,9 @@ def nelson_aalen(records: Sequence[SurvivalRecord]) -> StepFunction:
     if not records:
         raise DataError("no records")
     T, E = times_events(records)
-    times, chf = _nelson_aalen_arrays(T, E)
-    return StepFunction(times, chf, initial=0.0)
+    times, t = np.unique(T, return_inverse=True)
+    leaf = _leaf(t, E, times)
+    return StepFunction(leaf["times"], leaf["chf"], initial=0.0)
 
 
 def c_index(risks: Sequence[float], records: Sequence[SurvivalRecord]) -> float:
@@ -328,33 +328,6 @@ def cox_aic(model: CoxModel, p: int) -> float:
     return 2.0 * p - 2.0 * model.log_partial_likelihood
 
 
-def logrank_statistic(T: np.ndarray, E: np.ndarray, group: np.ndarray) -> float:
-    """Absolute standardized two-sample log-rank statistic.
-
-    ``group`` flags membership of the first sample.  Zero when the split
-    separates nothing (or the variance vanishes).
-    """
-    T = np.asarray(T, dtype=float)
-    E = np.asarray(E, dtype=int)
-    group = np.asarray(group, dtype=bool)
-    uniq, ranks = np.unique(T, return_inverse=True)
-    u = uniq.size
-    d = np.bincount(ranks[E == 1], minlength=u)
-    at_risk = np.cumsum(np.bincount(ranks, minlength=u)[::-1])[::-1]
-    at_risk1 = np.cumsum(np.bincount(ranks[group], minlength=u)[::-1])[::-1]
-    d1 = np.bincount(ranks[group & (E == 1)], minlength=u)
-    has_events = d > 0
-    d_e, y_e = d[has_events], at_risk[has_events]
-    frac = at_risk1[has_events] / y_e
-    num = float(np.sum(d1[has_events] - d_e * frac))
-    ok = y_e > 1
-    d_ok, y_ok, frac_ok = d_e[ok], y_e[ok], frac[ok]
-    var = float(np.sum(d_ok * frac_ok * (1.0 - frac_ok) * (y_ok - d_ok) / (y_ok - 1.0)))
-    if var <= 0.0:
-        return 0.0
-    return abs(num) / np.sqrt(var)
-
-
 @dataclass(eq=False)
 class SurvivalForest:
     """Bagged survival trees splitting on the log-rank statistic."""
@@ -387,12 +360,9 @@ def _forest_ranks(X: np.ndarray, T: np.ndarray):
 
 
 def _leaf(t, E, times) -> dict:
-    # Nelson-Aalen on time ranks: records at rank >= j are at risk at rank j
-    counts = np.bincount(t)
-    d = np.bincount(t[E == 1], minlength=counts.size)
-    has = np.flatnonzero(d)
-    at_risk = len(t) - np.cumsum(counts) + counts
-    return {"times": times[has], "chf": np.cumsum(d[has] / at_risk[has])}
+    # Nelson-Aalen on time ranks into the sorted distinct ``times``
+    has, d, at_risk = _risk_table(t, E)
+    return {"times": times[has], "chf": np.cumsum(d / at_risk)}
 
 
 def _best_split(codes, t, E, scale, rng, mtry, min_leaf):
@@ -402,13 +372,11 @@ def _best_split(codes, t, E, scale, rng, mtry, min_leaf):
         return None
     levels, owner, first, _ = scale
     events = E == 1
-    d = np.bincount(t[events])
     # the node's event times are its columns; a record's column is one past
     # the last event time at or before its time, so column 0 is never at risk
-    cols = d.nonzero()[0]
+    cols, d_e, y_e = _risk_table(t, E)
     m = cols.size + 1
     col = cols.searchsorted(t, side="right")
-    d_e, y_e = d[cols], n - np.bincount(col, minlength=m).cumsum()[:-1]
     ok = y_e > 1
     d_ok, y_ok = d_e[ok], y_e[ok]
 
@@ -438,8 +406,8 @@ def _best_split(codes, t, E, scale, rng, mtry, min_leaf):
     in1 = left[0].cumsum(axis=1)
     frac = (in1[:, -1:] - in1[:, :-1]) / y_e
     num = (left[1][:, 1:] - d_e * frac).sum(axis=1)
-    # a column mask yields a Fortran-ordered copy, whose rows would sum
-    # in another order than the 1-D sums of logrank_statistic
+    # a column mask yields a Fortran-ordered copy, whose rows would sum in
+    # another order than the 1-D sums of the per-threshold log-rank statistic
     frac = np.ascontiguousarray(frac[:, ok])
     var = (d_ok * frac * (1.0 - frac) * (y_ok - d_ok) / (y_ok - 1.0)).sum(axis=1)
     stat = np.abs(num) / np.sqrt(np.where(var > 0.0, var, np.inf))
@@ -509,7 +477,7 @@ def rsf_fit(
     return SurvivalForest(
         trees=trees,
         bootstrap_indices=boots,
-        event_times=np.unique(T[E == 1]),
+        event_times=scale[-1][_risk_table(t, E)[0]],
         n_estimators=n_estimators,
         mtry=mtry,
         min_samples_split=min_samples_split,
@@ -518,13 +486,6 @@ def rsf_fit(
         use_age=use_age,
         reference_year=reference_year,
     )
-
-
-def _eval_steps(times: np.ndarray, values: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    if times.size == 0:
-        return np.zeros(grid.shape)
-    idx = np.searchsorted(times, grid, side="right") - 1
-    return np.where(idx >= 0, values[np.maximum(idx, 0)], 0.0)
 
 
 def _reached_leaves(forest: SurvivalForest, X: np.ndarray):
@@ -610,7 +571,7 @@ def scenario_curves(
     grid = np.unique(np.concatenate([[0.0], forest.event_times]))
     chf = _hazard_sums(forest, covariate_matrix(records), grid) / len(forest.trees)
     surv = np.exp(-chf)
-    areas = [float(_trapezoid(vals, grid)) for vals in surv]
+    areas = _trapezoid(surv, grid, axis=1)
     best = StepFunction(grid, surv[int(np.argmax(areas))], initial=1.0)
     worst = StepFunction(grid, surv[int(np.argmin(areas))], initial=1.0)
     return best, worst

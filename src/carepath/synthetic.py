@@ -244,7 +244,7 @@ def generate_cohort(
     for i, arch in enumerate(archetypes):
         size = base + (1 if i < extra else 0)
         t, r, _ = generate(
-            [arch], size, max_len, seed=_per_archetype_seed(seed, i),
+            [arch], size, max_len, seed=_derived_seed(seed, i),
             horizon_days=horizon_days, anchor_code=anchor,
         )
         # re-id patients so the cohort stays unique and ordered
@@ -257,5 +257,7 @@ def generate_cohort(
     return trajectories, records, labels
 
 
-def _per_archetype_seed(seed: int, index: int) -> int:
-    return int(np.random.default_rng([seed, index]).integers(0, 2**31 - 1))
+def _derived_seed(*parts: int) -> int:
+    """A seed drawn from a generator seeded with ``parts`` (a base seed and
+    the indices of a sub-task), so sub-tasks get independent streams."""
+    return int(np.random.default_rng(list(parts)).integers(0, 2**31 - 1))

@@ -13,7 +13,7 @@ from carepath.errors import DataError
 from carepath.kmedoids import Clustering
 from carepath.metric import MetricWeights, PatientTrajectory, code_distance
 from carepath.patterns import MiningConfig, frequent_patterns, render_pattern, support
-from carepath.survival import StepFunction, logrank_statistic, record_covariates
+from carepath.survival import StepFunction, record_covariates
 from carepath.synthetic import ArchetypeSpec
 from carepath.tuning import ScoreConfig
 
@@ -260,16 +260,32 @@ def oracle_pattern_report_rows(db, labels, k: int, min_support: int, max_len: in
     return rows
 
 
-def oracle_nelson_aalen(times, events):
-    """Plain-loop cumulative hazard estimate: sum of d/n at event times."""
+def _death_table(times, events):
+    # (time, deaths, at risk) at each distinct event time, one count at a time
     times = list(times)
     events = list(events)
-    grid = sorted({t for t, e in zip(times, events) if e == 1})
-    out_t, out_v = [], []
-    acc = 0.0
-    for t in grid:
+    for t in sorted({t for t, e in zip(times, events) if e == 1}):
         d = sum(1 for tt, ee in zip(times, events) if tt == t and ee == 1)
         n = sum(1 for tt in times if tt >= t)
+        yield t, d, n
+
+
+def oracle_kaplan_meier(times, events):
+    """Plain-loop product-limit estimate: times (n - d) / n at event times."""
+    out_t, out_v = [], []
+    acc = 1.0
+    for t, d, n in _death_table(times, events):
+        acc *= (n - d) / n
+        out_t.append(t)
+        out_v.append(acc)
+    return out_t, out_v
+
+
+def oracle_nelson_aalen(times, events):
+    """Plain-loop cumulative hazard estimate: sum of d/n at event times."""
+    out_t, out_v = [], []
+    acc = 0.0
+    for t, d, n in _death_table(times, events):
         acc += d / n
         out_t.append(t)
         out_v.append(acc)
@@ -318,6 +334,34 @@ def oracle_breslow_baseline(X, T, E, beta):
     times = np.unique(T[E == 1])
     steps = [np.sum((T == t) & (E == 1)) / w[T >= t].sum() for t in times]
     return times, np.cumsum(steps)
+
+
+def logrank_statistic(T: np.ndarray, E: np.ndarray, group: np.ndarray) -> float:
+    """Absolute standardized two-sample log-rank statistic.
+
+    ``group`` flags membership of the first sample.  Zero when the split
+    separates nothing (or the variance vanishes).  Its 1-D sums fix the
+    order in which the forest's one-pass split search must add.
+    """
+    T = np.asarray(T, dtype=float)
+    E = np.asarray(E, dtype=int)
+    group = np.asarray(group, dtype=bool)
+    uniq, ranks = np.unique(T, return_inverse=True)
+    u = uniq.size
+    d = np.bincount(ranks[E == 1], minlength=u)
+    at_risk = np.cumsum(np.bincount(ranks, minlength=u)[::-1])[::-1]
+    at_risk1 = np.cumsum(np.bincount(ranks[group], minlength=u)[::-1])[::-1]
+    d1 = np.bincount(ranks[group & (E == 1)], minlength=u)
+    has_events = d > 0
+    d_e, y_e = d[has_events], at_risk[has_events]
+    frac = at_risk1[has_events] / y_e
+    num = float(np.sum(d1[has_events] - d_e * frac))
+    ok = y_e > 1
+    d_ok, y_ok, frac_ok = d_e[ok], y_e[ok], frac[ok]
+    var = float(np.sum(d_ok * frac_ok * (1.0 - frac_ok) * (y_ok - d_ok) / (y_ok - 1.0)))
+    if var <= 0.0:
+        return 0.0
+    return abs(num) / np.sqrt(var)
 
 
 def oracle_best_split(X, T, E, rng, mtry, min_leaf):

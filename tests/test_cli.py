@@ -75,6 +75,37 @@ class TestExitCodes:
     def test_missing_input_file_is_a_data_error(self, tmp_path):
         assert cli.main(["mine", "--trajectories", str(tmp_path / "nope.csv")]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mine", "--trajectories", "{bad}"],
+            ["dist", "--trajectories", "{bad}", "--out", "m.csv"],
+            ["cluster", "--trajectories", "{bad}", "--k", "2", "--out", "a.csv"],
+            ["tune", "--trajectories", "{bad}", "--budget", "2"],
+            ["survival", "--trajectories", "{bad}", "--covariates", "{cohort}/covariates.csv"],
+            ["export-sankey", "--trajectories", "{bad}", "--out", "s.csv"],
+            ["survival", "--trajectories", "{cohort}/trajectories.csv", "--covariates", "{bad}"],
+        ],
+        ids=["mine", "dist", "cluster", "tune", "survival", "export-sankey", "covariates"],
+    )
+    @pytest.mark.parametrize(
+        "tail",
+        [b"P1,0,05M09\xff\r\n", b"P1,0," + b"x" * 200_000 + b"\r\n"],
+        ids=["undecodable-byte", "oversized-field"],
+    )
+    def test_unreadable_input_is_a_data_error(self, tmp_path, monkeypatch, capsys, argv, tail):
+        cohort = synth_dir(tmp_path, n=20)
+        capsys.readouterr()  # drop the synth chatter
+        # a valid table of the kind the flag names, with one bad row appended
+        table = argv[argv.index("{bad}") - 1].removeprefix("--")
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes((cohort / f"{table}.csv").read_bytes() + tail)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([arg.format(bad=bad, cohort=cohort) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert "Traceback" not in err
+
     def test_run_into_an_existing_file_is_a_data_error(self, tmp_path, capsys):
         target = tmp_path / "taken"
         target.write_text("not a directory\n")

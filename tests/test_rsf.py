@@ -8,15 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import walk_tree
+from helpers import logrank_statistic, walk_tree
 from carepath.errors import DataError
 from carepath.survival import (
     SurvivalRecord,
     _best_split,
     _forest_ranks,
     _leaf,
-    _nelson_aalen_arrays,
-    logrank_statistic,
     record_covariates,
     rsf_fit,
     rsf_predict,
@@ -51,6 +49,8 @@ def fitted(midsize_cohort):
 
 
 class TestLogRank:
+    """The reference statistic of ``helpers``, which ``oracle_best_split`` scores with."""
+
     def test_identical_outcomes_score_zero(self):
         T = np.array([5.0] * 10)
         E = np.ones(10, dtype=int)
@@ -227,8 +227,8 @@ def _leaf_samples(draw):
 
 
 class TestLeafMatchesNelsonAalen:
-    """A leaf built on the forest's time ranks must hold the Nelson-Aalen
-    arrays of its own records, bit for bit."""
+    """A leaf built on the forest's time ranks must hold the plain-loop
+    Nelson-Aalen estimate of its own records, bit for bit."""
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(_leaf_samples())
@@ -241,7 +241,7 @@ class TestLeafMatchesNelsonAalen:
         T, E, rows = sample
         _, t, scale = _forest_ranks(np.zeros((len(T), 1)), T)
         leaf = _leaf(t[rows], E[rows], scale[-1])
-        times, chf = _nelson_aalen_arrays(T[rows], E[rows])
+        times, chf = helpers.oracle_nelson_aalen(T[rows], E[rows])
         assert leaf["times"].dtype == leaf["chf"].dtype == np.float64
         assert np.array_equal(leaf["times"], times)
         assert np.array_equal(leaf["chf"], chf)

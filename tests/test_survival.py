@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from carepath.errors import DataError, NumericError
@@ -148,6 +150,41 @@ class TestNelsonAalen:
         o_times, o_vals = helpers.oracle_nelson_aalen(times, events)
         assert na.times.tolist() == o_times
         assert np.allclose(na.values, o_vals, atol=1e-12)
+
+
+@st.composite
+def _follow_ups(draw):
+    """Times and events: tied, zero and fractional times, any event rate."""
+    n = draw(st.integers(1, 40))
+    pool = st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.25, 7.0, 30.0])
+    wide = st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False)
+    T = draw(st.lists(st.one_of(pool, wide), min_size=n, max_size=n))
+    rate = draw(st.integers(0, 10))  # in tenths: 0 censors every record
+    E = [int(draw(st.integers(0, 9)) < rate) for _ in range(n)]
+    return T, E
+
+
+class TestEstimatorsMatchLoopOracles:
+    """Kaplan-Meier and Nelson-Aalen equal their plain loops bit for bit."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_follow_ups())
+    @example(([2.0, 1.0, 2.0, 2.0], [1, 0, 0, 1]))  # a death and a censoring at one time
+    @example(([3.0, 1.0, 8.5], [0, 0, 0]))  # all censored
+    @example(([4.0], [1]))  # one record
+    @example(([0.0, 0.0, 5.0, 0.0], [1, 0, 1, 1]))  # time 0
+    def test_equal_to_plain_loops(self, sample):
+        T, E = sample
+        records = make_records(T, E)
+        for estimate, oracle in (
+            (kaplan_meier, helpers.oracle_kaplan_meier),
+            (nelson_aalen, helpers.oracle_nelson_aalen),
+        ):
+            got = estimate(records)
+            times, values = oracle(T, E)
+            assert got.times.dtype == got.values.dtype == np.float64
+            assert np.array_equal(got.times, times)
+            assert np.array_equal(got.values, values)
 
 
 class TestCIndex:
