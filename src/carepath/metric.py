@@ -246,21 +246,48 @@ def distance_matrix(
     return _matrix(_code_table(reps, weights), rows)
 
 
+def _square(matrix: np.ndarray, dtype) -> np.ndarray:
+    """``matrix`` as ``dtype``; anything but a square 2-D array raises."""
+    matrix = np.asarray(matrix, dtype=dtype)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise DataError(f"distance matrix must be square, got shape {matrix.shape}")
+    return matrix
+
+
 def save_matrix_csv(path, matrix: np.ndarray, patient_ids: Sequence[str]) -> None:
-    """Write the matrix with a patient-id header row; floats keep full precision."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape[0] != len(patient_ids):
+    """Write a patient-id header row, then one CRLF-terminated row per
+    patient; each entry is the shortest ``repr`` that reads back as the same
+    float64.
+
+    The matrix holds few distinct values, so each block of rows (bounded by
+    ``_BLOCK_CELLS``) is formatted once per distinct bit pattern, which keeps
+    ``-0.0`` apart from ``0.0``.  Number strings never need CSV quoting.
+    """
+    matrix = _square(matrix, np.float64)
+    n = matrix.shape[0]
+    if n != len(patient_ids):
         raise DataError("matrix size does not match patient id count")
+    texts: dict[int, str] = {}
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(patient_ids)
-        for row in matrix:
-            writer.writerow([repr(float(v)) for v in row])
+        csv.writer(fh).writerow(patient_ids)
+        step = max(1, _BLOCK_CELLS // max(n, 1))
+        for start in range(0, n, step):
+            block = matrix[start : start + step]
+            bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+            cells = np.array(
+                [
+                    texts.get(b) or texts.setdefault(b, repr(v))
+                    for b, v in zip(bits.tolist(), bits.view(np.float64).tolist())
+                ],
+                dtype=object,
+            )[inverse.reshape(block.shape)]
+            fh.writelines(",".join(row) + "\r\n" for row in cells.tolist())
 
 
 def save_matrix_binary(path, matrix: np.ndarray) -> None:
-    """Compact form: little-endian int64 size, then row-major float64 entries."""
-    matrix = np.ascontiguousarray(matrix, dtype="<f8")
+    """Write a little-endian int64 ``n``, then the n*n little-endian float64
+    entries in row-major order."""
+    matrix = np.ascontiguousarray(_square(matrix, "<f8"))
     with open(path, "wb") as fh:
         fh.write(struct.pack("<q", matrix.shape[0]))
-        fh.write(matrix.tobytes())
+        fh.write(matrix.data)

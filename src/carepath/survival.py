@@ -67,8 +67,11 @@ class SurvivalRecord:
     event: int
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise DataError(f"patient {self.patient_id!r}: negative follow-up time")
+        if not 0 <= self.time < np.inf:
+            raise DataError(
+                f"patient {self.patient_id!r}: follow-up time must be finite and "
+                f"non-negative, got {self.time!r}"
+            )
         if self.event not in (0, 1):
             raise DataError(f"patient {self.patient_id!r}: event must be 0 or 1")
         if self.sex not in (1, 2):

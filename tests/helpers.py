@@ -3,6 +3,8 @@ implementations used to cross-check the package ("oracles")."""
 
 from __future__ import annotations
 
+import csv
+import struct
 from functools import lru_cache
 from itertools import combinations
 
@@ -97,6 +99,21 @@ def oracle_trajectory_distance(
         return total
 
     return (directed(a.codes, b.codes) + directed(b.codes, a.codes)) / 2.0
+
+
+def oracle_save_matrix_csv(path, matrix, patient_ids) -> None:
+    """The matrix CSV written cell by cell through ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(patient_ids)
+        for row in np.asarray(matrix, dtype=float):
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def oracle_matrix_binary(matrix) -> bytes:
+    """The matrix binary: int64 size, then row-major float64, little-endian."""
+    matrix = np.asarray(matrix)
+    return struct.pack("<q", matrix.shape[0]) + np.ascontiguousarray(matrix, "<f8").tobytes()
 
 
 def oracle_medoid_profile(

@@ -1,9 +1,13 @@
 import configparser
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import carepath
 from carepath import cli
 from carepath.errors import DataError, NumericError
 from carepath.metric import MetricWeights
@@ -105,6 +109,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["survival", "run"])
+    @pytest.mark.parametrize("time", ["nan", "inf"])
+    def test_non_finite_follow_up_time_is_a_data_error(self, tmp_path, command, time):
+        cohort = synth_dir(tmp_path, n=20)
+        covariates = cohort / "covariates.csv"
+        header, first, *rest = covariates.read_text().splitlines(keepends=True)
+        fields = first.rstrip("\r\n").split(",")
+        fields[-1] = time
+        covariates.write_text("".join([header, ",".join(fields) + "\r\n", *rest]))
+        argv = ["--trajectories", str(cohort / "trajectories.csv"), "--covariates", str(covariates)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        # a separate process with a timeout, so a hang fails the test
+        proc = subprocess.run(
+            [sys.executable, "-m", "carepath.cli", command, *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(carepath.__file__).parents[1])},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert f"{covariates} row 2: patient 'P00000': follow-up time" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_run_into_an_existing_file_is_a_data_error(self, tmp_path, capsys):
         target = tmp_path / "taken"

@@ -279,3 +279,76 @@ class TestMatrixSerialization:
         data = path.read_bytes()
         assert struct.unpack("<q", data[:8]) == (len(m),)
         assert np.array_equal(np.frombuffer(data[8:], dtype="<f8").reshape(m.shape), m)
+
+
+# cells the writers must keep apart or format exactly: both zeros, both
+# infinities, NaNs of either sign, the smallest subnormal and a huge value
+_CELL_POOL = [-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, 1e308, 0.1, 130.8, 1 / 3]
+_ids = st.text(alphabet=st.sampled_from(list('aZ0 ,;"\'\n\r\té')), max_size=4)
+
+
+@st.composite
+def _matrices(draw):
+    # 0x0 and 1x1, small, and sizes whose rows span several default blocks
+    # with a partial last one
+    n = draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, 12), st.integers(130, 200)))
+    pool = _CELL_POOL + draw(st.lists(st.floats(), max_size=8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    matrix = np.random.default_rng(seed).choice(np.array(pool), size=(n, n))
+    return matrix, draw(st.lists(_ids, min_size=n, max_size=n))
+
+
+class TestMatrixWritersMatchOracles:
+    """Both writers are byte-equal to the plain per-cell writers."""
+
+    @staticmethod
+    def _assert_csv_matches(tmp_path, matrix, ids):
+        save_matrix_csv(tmp_path / "got.csv", matrix, ids)
+        helpers.oracle_save_matrix_csv(tmp_path / "want.csv", matrix, ids)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @settings(deadline=None, database=None, max_examples=60)
+    @given(_matrices(), _block_cells)
+    def test_csv(self, tmp_path_factory, matrix_and_ids, cells):
+        with mock.patch.object(metric, "_BLOCK_CELLS", cells):
+            self._assert_csv_matches(tmp_path_factory.mktemp("csv"), *matrix_and_ids)
+
+    def test_csv_of_a_cohort_matrix(self, midsize_cohort, tmp_path):
+        trajectories = midsize_cohort[0]
+        matrix = distance_matrix(trajectories, WEIGHTS)
+        self._assert_csv_matches(tmp_path, matrix, [t.patient_id for t in trajectories])
+
+    _layouts = pytest.mark.parametrize(
+        "matrix",
+        [
+            np.zeros((0, 0)),
+            np.arange(12.0).reshape(3, 4)[:, :3].T,
+            np.array([[0.0, -0.0, np.inf], [np.nan, 5e-324, 1e308], [0.1, 2.0, 3.0]], ">f8"),
+        ],
+        ids=["empty", "transposed-view", "big-endian"],
+    )
+
+    @_layouts
+    def test_csv_of_any_layout(self, tmp_path, matrix):
+        self._assert_csv_matches(tmp_path, matrix, [f"P{i}" for i in range(len(matrix))])
+
+    @_layouts
+    def test_binary(self, tmp_path, matrix):
+        save_matrix_binary(tmp_path / "m.bin", matrix)
+        assert (tmp_path / "m.bin").read_bytes() == helpers.oracle_matrix_binary(matrix)
+
+    @pytest.mark.parametrize(
+        "matrix", [np.zeros(3), np.zeros((2, 3)), np.zeros((2, 2, 2)), np.float64(1.0)],
+        ids=["1-d", "2x3", "3-d", "scalar"],
+    )
+    def test_non_square_matrix_rejected(self, tmp_path, matrix):
+        ids = [f"P{i}" for i in range(len(np.atleast_1d(matrix)))]
+        with pytest.raises(DataError, match="must be square"):
+            save_matrix_csv(tmp_path / "m.csv", matrix, ids)
+        with pytest.raises(DataError, match="must be square"):
+            save_matrix_binary(tmp_path / "m.bin", matrix)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_id_count_mismatch_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="patient id count"):
+            save_matrix_csv(tmp_path / "m.csv", np.zeros((2, 2)), ["P0"])

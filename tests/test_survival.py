@@ -49,6 +49,14 @@ class TestRecord:
         with pytest.raises(DataError):
             SurvivalRecord("P", 1950, 1, 1, 5, 5, 1.0, 1)
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), -float("inf")])
+    def test_time_must_be_finite_and_non_negative(self, time):
+        with pytest.raises(DataError, match="follow-up time"):
+            make_records([time], [1])
+
+    def test_time_zero_accepted(self):
+        assert make_records([0.0], [1])[0].time == 0.0
+
     def test_covariate_vector_order(self):
         r = SurvivalRecord("P", 1941, 2, 3, 1, 22, 9.0, 0)
         assert record_covariates(r).tolist() == [1941.0, 2.0, 3.0, 1.0, 22.0]
