@@ -257,20 +257,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except StageError as exc:
+    except (StageError, DataError, NumericError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc.cause, NumericError):
-            return NUMERIC_EXIT
-        return DATA_EXIT
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_EXIT
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return NUMERIC_EXIT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_EXIT
+        cause = exc.cause if isinstance(exc, StageError) else exc
+        return NUMERIC_EXIT if isinstance(cause, NumericError) else DATA_EXIT
 
 
 def entry() -> None:

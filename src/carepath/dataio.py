@@ -1,4 +1,7 @@
-"""CSV ingestion and export for trajectory and covariate tables.
+"""CSV ingestion and export for trajectory and covariate tables, and
+:func:`write_csv`, the one writer of every CSV table the program saves; only
+the distance matrix, whose rows are formatted in bulk, and ``mine``'s output,
+which can go to stdout, are written another way.
 
 The trajectory table holds one row per hospitalization
 (``patient_id, seq_index, code``); the covariate table holds one row per
@@ -11,7 +14,7 @@ row numbers, header included.
 from __future__ import annotations
 
 import csv
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .codes import CodeError, parse_code
 from .errors import DataError
@@ -76,7 +79,6 @@ def _rows(path, expected):
 def load_trajectories(path) -> list[PatientTrajectory]:
     """Read and group the trajectory table; patients keep first-appearance order."""
     stays: dict[str, list[tuple[int, object]]] = {}
-    order: list[str] = []
     seen: set[tuple[str, int]] = set()
     for row_no, row in _rows(path, TRAJECTORY_HEADER):
         if len(row) != 3:
@@ -94,15 +96,12 @@ def load_trajectories(path) -> list[PatientTrajectory]:
                 f"for patient {patient_id!r}"
             )
         seen.add(key)
-        if patient_id not in stays:
-            stays[patient_id] = []
-            order.append(patient_id)
-        stays[patient_id].append((seq_index, code))
-    if not order:
+        stays.setdefault(patient_id, []).append((seq_index, code))
+    if not stays:
         raise DatasetError(f"{path}: no trajectory rows")
     out = []
-    for patient_id in order:
-        rows = sorted(stays[patient_id], key=lambda x: x[0])
+    for patient_id, rows in stays.items():
+        rows.sort(key=lambda x: x[0])
         out.append(PatientTrajectory(patient_id, tuple(code for _, code in rows)))
     return out
 
@@ -153,6 +152,14 @@ def load_dataset(
     return trajectories, records
 
 
+def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and then ``rows`` as CSV with CRLF line ends."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_trajectories_csv(path, trajectories: Sequence[PatientTrajectory]) -> None:
     """Write one row per stay; a code whose rendering would read back as
     another code raises :class:`DataError` before the file is opened."""
@@ -166,27 +173,31 @@ def write_trajectories_csv(path, trajectories: Sequence[PatientTrajectory]) -> N
                 f"code {code!r} would be written as {code.render()!r}, "
                 "which reads back as another code"
             )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_HEADER)
-        for traj in trajectories:
-            for seq_index, code in enumerate(traj.codes):
-                writer.writerow([traj.patient_id, seq_index, code.render()])
+    write_csv(
+        path,
+        TRAJECTORY_HEADER,
+        (
+            [traj.patient_id, seq_index, code.render()]
+            for traj in trajectories
+            for seq_index, code in enumerate(traj.codes)
+        ),
+    )
 
 
 def write_covariates_csv(path, records: Sequence[SurvivalRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COVARIATE_HEADER)
-        for rec in records:
-            writer.writerow(
-                [
-                    rec.patient_id,
-                    rec.birth_year,
-                    rec.sex,
-                    rec.shock_flag,
-                    rec.total_stay_days,
-                    rec.event,
-                    repr(rec.time),
-                ]
-            )
+    write_csv(
+        path,
+        COVARIATE_HEADER,
+        (
+            [
+                rec.patient_id,
+                rec.birth_year,
+                rec.sex,
+                rec.shock_flag,
+                rec.total_stay_days,
+                rec.event,
+                repr(rec.time),
+            ]
+            for rec in records
+        ),
+    )

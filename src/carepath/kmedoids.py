@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .metric import MetricWeights, PatientTrajectory, _code_table, _encode
+from .metric import MetricWeights, PatientTrajectory, _code_table, _encode, _square
 
 DEFAULT_MAX_SWEEPS = 100
 # cells per candidate block of the swap screen, which bounds its working memory
@@ -56,9 +56,7 @@ def fit_kmedoids(
     with ``seed``.  Ties in the nearest-medoid assignment go to the medoid
     with the lowest index, and every medoid belongs to its own cluster.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DataError("distance matrix must be square")
+    m = _square(matrix, float)
     n = m.shape[0]
     if k < 1:
         raise DataError("k must be >= 1")

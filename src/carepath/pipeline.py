@@ -12,7 +12,6 @@ output directory is removed and the failing stage is named.
 from __future__ import annotations
 
 import configparser
-import csv
 import platform
 import shutil
 from collections import Counter
@@ -23,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .dataio import load_dataset, write_covariates_csv, write_trajectories_csv
+from .dataio import load_dataset, write_covariates_csv, write_csv, write_trajectories_csv
 from .errors import DataError, NumericError
 from .kmedoids import Clustering, fit_kmedoids
 from .metric import (
@@ -229,10 +228,7 @@ def frequency_table(
         if not holders:
             columns.append(())
             continue
-        counts: dict[str, int] = {}
-        for t in holders:
-            key = t.codes[pos].render()
-            counts[key] = counts.get(key, 0) + 1
+        counts = Counter(t.codes[pos].render() for t in holders)
         ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
         columns.append(
             tuple((code, count / len(holders)) for code, count in ranked)
@@ -303,20 +299,13 @@ class RunResult:
     tuned: bool
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _fmt(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
 def write_assignments_csv(path, patient_ids: Sequence[str], clustering: Clustering) -> None:
     medoids = set(clustering.medoid_indices)
-    _write_csv(
+    write_csv(
         path,
         ("patient_id", "cluster", "distance_to_medoid", "is_medoid"),
         (
@@ -332,7 +321,7 @@ def write_assignments_csv(path, patient_ids: Sequence[str], clustering: Clusteri
 
 
 def write_sankey_csv(path, edges: Sequence[SankeyEdge]) -> None:
-    _write_csv(
+    write_csv(
         path,
         ("source_pos", "source_code", "target_pos", "target_code", "count"),
         (
@@ -345,17 +334,14 @@ def write_sankey_csv(path, edges: Sequence[SankeyEdge]) -> None:
 def write_frequency_csv(path: Path, table: FrequencyTable) -> None:
     codes = sorted({code for column in table.columns for code, _ in column})
     by_column = [dict(column) for column in table.columns]
-    rows = []
-    for code in codes:
-        rows.append(
-            [code]
-            + [
-                f"{col[code]:.6f}" if code in col else ""
-                for col in by_column
-            ]
-        )
-    header = ["code"] + [f"p{i}" for i in range(table.positions)]
-    _write_csv(path, header, rows)
+    write_csv(
+        path,
+        ["code"] + [f"p{i}" for i in range(table.positions)],
+        (
+            [code] + [f"{col[code]:.6f}" if code in col else "" for col in by_column]
+            for code in codes
+        ),
+    )
 
 
 def _pattern_report_rows(
@@ -464,7 +450,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
 
         # --- pattern report ------------------------------------------
         stage = "patterns"
-        _write_csv(
+        write_csv(
             out / "patterns.csv",
             ("scope", "length", "rank", "count", "frequency", "pattern"),
             _pattern_report_rows(db, clustering.assignment, k, cfg),
@@ -472,17 +458,13 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
 
         # --- frequency tables (deceased subset) ----------------------
         stage = "frequency"
-        deceased = [t for t in trajectories if t.ends_in_death]
-        if deceased:
-            write_frequency_csv(
-                out / "frequency_global.csv",
-                frequency_table(deceased, cfg.positions, cfg.top_k),
-            )
-        for cid in range(k):
-            dead = [trajectories[i] for i in members[cid] if trajectories[i].ends_in_death]
+        scopes = [("global", range(len(trajectories)))]
+        scopes += [(f"cluster_{cid}", members[cid]) for cid in range(k)]
+        for scope, indices in scopes:
+            dead = [trajectories[i] for i in indices if trajectories[i].ends_in_death]
             if dead:
                 write_frequency_csv(
-                    out / f"frequency_cluster_{cid}.csv",
+                    out / f"frequency_{scope}.csv",
                     frequency_table(dead, cfg.positions, cfg.top_k),
                 )
 
@@ -506,7 +488,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
             profile = table[rows[i]][:, medoid_row].min(axis=1).tolist()
             for pos, dist in enumerate(profile):
                 profile_rows.append([traj.patient_id, cid, pos, repr(dist)])
-        _write_csv(
+        write_csv(
             out / "medoid_profiles.csv",
             ("patient_id", "cluster", "position", "distance"),
             profile_rows,
@@ -530,16 +512,16 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
             metrics.append(ClusterMetrics(cid, len(cluster_records), aic, cidx))
             if forest is not None:
                 best, worst = scenario_curves(forest, cluster_records)
-                rows = []
-                for label, curve in (("best", best), ("worst", worst)):
-                    for t, s in zip(curve.times, curve.values):
-                        rows.append([label, repr(float(t)), repr(float(s))])
-                _write_csv(
+                write_csv(
                     out / f"scenarios_cluster_{cid}.csv",
                     ("scenario", "time", "survival"),
-                    rows,
+                    (
+                        [label, repr(float(t)), repr(float(s))]
+                        for label, curve in (("best", best), ("worst", worst))
+                        for t, s in zip(curve.times, curve.values)
+                    ),
                 )
-        _write_csv(
+        write_csv(
             out / "metrics.csv",
             ("cluster", "size", "aic", "c_index"),
             (

@@ -23,13 +23,13 @@ seed and the trial index, so trials are reproducible in isolation.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .dataio import write_csv
 from .errors import DataError
 from .kmedoids import fit_kmedoids
 from .metric import MAX_WEIGHT, MetricWeights, PatientTrajectory
@@ -185,16 +185,17 @@ TRIAL_LOG_HEADER = ("trial_index", "w1", "w2", "w3", "w4", "k", "score", "wall_m
 
 
 def write_trial_log(path, log: Sequence[TrialRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIAL_LOG_HEADER)
-        for rec in log:
-            writer.writerow(
-                [
-                    rec.trial_index,
-                    *rec.weights.as_tuple(),
-                    rec.k,
-                    repr(rec.score),
-                    f"{rec.wall_ms:.3f}",
-                ]
-            )
+    write_csv(
+        path,
+        TRIAL_LOG_HEADER,
+        (
+            [
+                rec.trial_index,
+                *rec.weights.as_tuple(),
+                rec.k,
+                repr(rec.score),
+                f"{rec.wall_ms:.3f}",
+            ]
+            for rec in log
+        ),
+    )

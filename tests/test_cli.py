@@ -157,17 +157,21 @@ class TestExitCodes:
         monkeypatch.setitem(cli._COMMANDS, "mine", boom)
         assert cli.main(["mine", "--trajectories", "x"]) == 3
 
-    def test_stage_errors_keep_their_cause_code(self, monkeypatch):
-        def data_stage(args):
-            raise StageError("clustering", DataError("bad k"))
+    def test_stage_errors_keep_their_cause_code(self, monkeypatch, capsys):
+        cases = [
+            (StageError("clustering", DataError("bad k")), 2),
+            (StageError("survival", NumericError("diverged")), 3),
+            (StageError("distance", OSError("disk full")), 2),
+            (OSError("disk full"), 2),
+        ]
+        for error, code in cases:
 
-        def numeric_stage(args):
-            raise StageError("survival", NumericError("diverged"))
+            def fail(args, error=error):
+                raise error
 
-        monkeypatch.setitem(cli._COMMANDS, "mine", data_stage)
-        assert cli.main(["mine", "--trajectories", "x"]) == 2
-        monkeypatch.setitem(cli._COMMANDS, "mine", numeric_stage)
-        assert cli.main(["mine", "--trajectories", "x"]) == 3
+            monkeypatch.setitem(cli._COMMANDS, "mine", fail)
+            assert cli.main(["mine", "--trajectories", "x"]) == code
+            assert capsys.readouterr().err == f"error: {error}\n"
 
 
 class TestCommands:

@@ -11,6 +11,7 @@ import helpers
 from carepath import metric
 from carepath.codes import DEATH, StayCode, parse_code
 from carepath.errors import DataError
+from carepath.kmedoids import fit_kmedoids
 from carepath.metric import (
     MetricWeights,
     PatientTrajectory,
@@ -343,10 +344,17 @@ class TestMatrixWritersMatchOracles:
     )
     def test_non_square_matrix_rejected(self, tmp_path, matrix):
         ids = [f"P{i}" for i in range(len(np.atleast_1d(matrix)))]
-        with pytest.raises(DataError, match="must be square"):
-            save_matrix_csv(tmp_path / "m.csv", matrix, ids)
-        with pytest.raises(DataError, match="must be square"):
-            save_matrix_binary(tmp_path / "m.bin", matrix)
+        calls = [
+            lambda: save_matrix_csv(tmp_path / "m.csv", matrix, ids),
+            lambda: save_matrix_binary(tmp_path / "m.bin", matrix),
+            lambda: fit_kmedoids(matrix, 1, seed=0),
+        ]
+        messages = set()
+        for call in calls:
+            with pytest.raises(DataError, match="must be square") as info:
+                call()
+            messages.add(str(info.value))
+        assert len(messages) == 1  # the writers and PAM share one check
         assert list(tmp_path.iterdir()) == []
 
     def test_id_count_mismatch_rejected(self, tmp_path):

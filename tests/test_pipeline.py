@@ -1,6 +1,7 @@
 import configparser
 import csv
 import dataclasses
+import hashlib
 import platform
 from collections import Counter
 
@@ -415,6 +416,43 @@ class TestRunPipeline:
         assert len(lines) == 61
         medoid_flags = [line.split(",")[3] for line in lines[1:]]
         assert medoid_flags.count("1") == 4
+
+    def test_artifact_bytes_are_pinned(self, tmp_path):
+        # every file but manifest.ini, whose text TestManifestText pins
+        cfg = PipelineConfig(
+            seed=13, out_dir=str(tmp_path / "run"), synth_patients=120, k=3, trees=10
+        )
+        out = run_pipeline(cfg).out_dir
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()
+            if p.name != "manifest.ini"
+        }
+        assert digests == PINNED_DIGESTS
+
+
+# sha256 of every file of that 120-patient run, other settings at their
+# defaults; recorded under Python 3.11 and numpy 2.4 on x86-64
+PINNED_DIGESTS = {
+    "assignments.csv": "863c611eb7353eeade060e45881039e22eeff8eb6b9b893fcc3cb3f567fad3d6",
+    "covariates.csv": "414a5239cbc6c8411fcf9e8f578674aa105ceb500d35a1e77512b9b55c4b02cb",
+    "distance_matrix.bin": "6c1a58e32c79efabfe655325422979d93ab5c7edc02ec2b28e56f3861130fdb0",
+    "distance_matrix.csv": "c77daca9b7d44cadacb644f636099dfb9a81ca63bb12eaa9299d4c2b4de17f48",
+    "frequency_cluster_0.csv": "1dcb1f3328bbbe380719833af997f2dae8f843d3f89afd972daf003b131d2098",
+    "frequency_cluster_1.csv": "c28b85eadf8ba340c67f3b5f7f64544c3009df23363c85018b7f8f1d98e56fcc",
+    "frequency_cluster_2.csv": "2b734bbf92dce72de10a5a486bc0a4d845ecd36bfcf076fd6752bcd8e00dc111",
+    "frequency_global.csv": "d24d82b8aac8ce5635cc3da1aab73dce5a1de210011cc5f54431f5fa990466b7",
+    "medoid_profiles.csv": "bb1ac80df3972c68c85237c80dd67bb64a3b35f7fcae2cc6acab3764fd2fa1d1",
+    "metrics.csv": "5b85fe445da4f84363bbd98a02c2afe4c44447bdd0b656505f8272d0a555618b",
+    "patterns.csv": "6e8decab63ecdb033ac188e3a1e8513e534d45c848d7f2fd144107ef3043903e",
+    "sankey_cluster_0.csv": "9161cfc96a4ef5a66c4fc27ca98764ed399b54df2fe7b8c1f26a19203768e937",
+    "sankey_cluster_1.csv": "5c155b70bfde7254524a7485d23cd7dbeee4b4e00026716618d87a0c9537ce96",
+    "sankey_cluster_2.csv": "d92e97a86b6e9309ef6299ea4d82394c0e0a6ed53939ce4498c3b13a15e6ed4c",
+    "scenarios_cluster_0.csv": "7f9daf6805f6c8100b6deb6a017ec992a1414590124bdeadecfbf234f2caaa7a",
+    "scenarios_cluster_1.csv": "b7d3e947c8c81f6c8b80e39d15bc566633847a9f7261287ef8f18058f225d440",
+    "scenarios_cluster_2.csv": "0c327f0706868f02cb0ea4ae719ba1c168ced7170114fea6bb4d371867e59683",
+    "trajectories.csv": "6aa1694003db5810b284ebc5c542f32cc084dddc4626a622f84e5ba6307d33d6",
+}
 
 
 def _versions_section() -> str:
