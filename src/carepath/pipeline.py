@@ -98,6 +98,8 @@ class PipelineConfig:
             raise DataError("k must be >= 1")
         if self.tune_budget < 0:
             raise DataError("tune_budget must be >= 0")
+        if synth and self.tune_budget == 0 and self.k > self.synth_patients:
+            raise DataError(f"k={self.k} exceeds point count {self.synth_patients}")
         if not 0.0 < self.test_size < 1.0:
             raise DataError("test_size must be in (0, 1)")
         if self.trees < 1:

@@ -217,46 +217,98 @@ class CoxModel:
     baseline_cumhaz: StepFunction
     covariate_means: np.ndarray
     n_iter: int
+    converged: bool
 
 
-def _breslow_stats(Xc, T, E, beta):
-    # one descending-time sweep accumulating risk-set sums; each event
-    # block also yields its Breslow baseline increment (time, d / s0)
+@dataclass(frozen=True, eq=False)
+class _RiskSets:
+    """What the Breslow sums need that does not depend on ``beta``.
+
+    Records run in descending time; a block is a run of equal times.
+    """
+
+    x: np.ndarray  # centered covariates in descending time
+    x_first: np.ndarray  # each block's first row
+    first: np.ndarray  # each block's first record
+    tied: list  # (block, start, stop, event mask, event-block position or -1)
+    events: np.ndarray  # the blocks holding an event
+    deaths: np.ndarray  # each event block's event count
+    event_x: np.ndarray  # each event block's covariate sum over its events
+    times: np.ndarray  # each event block's time
+
+
+def _risk_sets(Xc, T, E) -> _RiskSets:
     order = np.argsort(-T, kind="stable")
     x = Xc[order]
     t = T[order]
     e = E[order]
-    eta = x @ beta
-    w = np.exp(eta)
-    p = Xc.shape[1]
-    ll = 0.0
-    grad = np.zeros(p)
-    hess = np.zeros((p, p))
-    steps: list[tuple[float, float]] = []
-    s0 = 0.0
-    s1 = np.zeros(p)
-    s2 = np.zeros((p, p))
-    n = len(t)
-    i = 0
-    while i < n:
-        j = i
-        while j < n and t[j] == t[i]:
-            j += 1
-        xb = x[i:j]
-        wb = w[i:j]
-        s0 += float(wb.sum())
-        s1 += wb @ xb
-        s2 += (xb * wb[:, None]).T @ xb
+    first = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
+    stop = np.r_[first[1:], len(t)]
+    deaths = np.add.reduceat(e, first)
+    events = np.flatnonzero(deaths)
+    position = np.full(len(first), -1)
+    position[events] = np.arange(len(events))
+    event_x = x[first[events]]
+    tied = []
+    for block in np.flatnonzero(stop - first > 1):
+        i, j = first[block], stop[block]
         ev = e[i:j] == 1
-        d = int(ev.sum())
-        if d:
-            mean = s1 / s0
-            ll += float(eta[i:j][ev].sum()) - d * np.log(s0)
-            grad += xb[ev].sum(axis=0) - d * mean
-            hess -= d * (s2 / s0 - np.outer(mean, mean))
-            steps.append((float(t[i]), d / s0))
-        i = j
-    return ll, grad, hess, steps
+        k = position[block]
+        if k >= 0:
+            event_x[k] = x[i:j][ev].sum(axis=0)
+        tied.append((block, i, j, ev, k))
+    return _RiskSets(
+        x=x,
+        x_first=x[first],
+        first=first,
+        tied=tied,
+        events=events,
+        deaths=deaths[events],
+        event_x=event_x,
+        times=t[first[events]],
+    )
+
+
+def _in_order(terms: np.ndarray) -> np.ndarray:
+    # the sum over the first axis, added left to right like ``acc += term``
+    # (``sum`` may add pairwise)
+    return np.add.accumulate(terms)[-1]
+
+
+def _breslow_sweep(rs: _RiskSets, beta):
+    """Breslow log partial likelihood, its gradient and Hessian at ``beta``,
+    and each event block's baseline hazard increment ``d / s0``.
+
+    Needs at least one event.
+    """
+    eta = rs.x @ beta
+    w = np.exp(eta)
+    # each block's sums; an untied block's are single products
+    b0 = w[rs.first]
+    b1 = rs.x_first * b0[:, None]
+    b2 = b1[:, :, None] * rs.x_first[:, None, :]
+    eta_e = eta[rs.first[rs.events]]
+    for block, i, j, ev, k in rs.tied:
+        xb = rs.x[i:j]
+        wb = w[i:j]
+        b0[block] = wb.sum()
+        b1[block] = wb @ xb
+        b2[block] = (xb * wb[:, None]).T @ xb
+        if k >= 0:
+            eta_e[k] = eta[i:j][ev].sum()
+    # risk-set sums at the event blocks
+    s0 = np.add.accumulate(b0)[rs.events]
+    s1 = np.add.accumulate(b1)[rs.events]
+    s2 = np.add.accumulate(b2)[rs.events]
+    d = rs.deaths
+    mean = s1 / s0[:, None]
+    ll = _in_order(eta_e - d * np.log(s0))
+    grad = _in_order(rs.event_x - d[:, None] * mean)
+    # d * (m m' - s2 / s0) is exactly -(d * (s2 / s0 - m m')), so adding
+    # these terms equals subtracting the loop's
+    outer = mean[:, :, None] * mean[:, None, :]
+    hess = _in_order(d[:, None, None] * (outer - s2 / s0[:, None, None]))
+    return ll, grad, hess, d / s0
 
 
 def cox_fit(
@@ -271,9 +323,11 @@ def cox_fit(
 
     Ties use the Breslow approximation.  Covariates are centered before
     fitting; ``covariates`` overrides the default five-column design.
-    Convergence means the gradient max-norm drops below ``tol``; a
-    coefficient passing +-50 raises :class:`SeparationError` and a singular
-    information matrix raises :class:`DegenerateCovariatesError`.
+    Convergence means the gradient max-norm drops below ``tol``; a fit that
+    stops before (``max_iter`` reached or the line search stalled) has
+    ``converged`` false.  A coefficient passing +-50 raises
+    :class:`SeparationError` and a singular information matrix raises
+    :class:`DegenerateCovariatesError`.
     """
     if covariates is None:
         X = covariate_matrix(records, use_age=use_age, reference_year=reference_year)
@@ -290,7 +344,8 @@ def cox_fit(
     means = X.mean(axis=0)
     Xc = X - means
     beta = np.zeros(X.shape[1])
-    ll, grad, hess, steps = _breslow_stats(Xc, T, E, beta)
+    rs = _risk_sets(Xc, T, E)
+    ll, grad, hess, steps = _breslow_sweep(rs, beta)
     n_iter = 0
     for _ in range(max_iter):
         if float(np.max(np.abs(grad))) < tol:
@@ -304,7 +359,7 @@ def cox_fit(
         improved = False
         for _ in range(45):
             cand = beta + step * delta
-            ll_new, grad_new, hess_new, steps_new = _breslow_stats(Xc, T, E, cand)
+            ll_new, grad_new, hess_new, steps_new = _breslow_sweep(rs, cand)
             if ll_new >= ll - 1e-12:
                 improved = True
                 break
@@ -316,13 +371,13 @@ def cox_fit(
             raise SeparationError(
                 f"coefficient magnitude exceeded {SEPARATION_BOUND}; likely separation"
             )
-    times, increments = zip(*reversed(steps))
     return CoxModel(
         beta=beta,
         log_partial_likelihood=float(ll),
-        baseline_cumhaz=StepFunction(np.array(times), np.cumsum(increments), initial=0.0),
+        baseline_cumhaz=StepFunction(rs.times[::-1], np.cumsum(steps[::-1]), initial=0.0),
         covariate_means=means,
         n_iter=n_iter,
+        converged=float(np.max(np.abs(grad))) < tol,
     )
 
 

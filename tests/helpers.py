@@ -353,6 +353,50 @@ def oracle_breslow_baseline(X, T, E, beta):
     return times, np.cumsum(steps)
 
 
+def oracle_breslow_stats(Xc, T, E, beta):
+    """Breslow log partial likelihood, gradient, Hessian and baseline steps
+    ``(time, d / s0)`` at ``beta``, one descending-time block at a time.
+
+    ``Xc`` is the centered design.  Its running sums and its ``+=`` order
+    fix what the fitter's vectorised sweep must reproduce bit for bit.
+    """
+    order = np.argsort(-T, kind="stable")
+    x = Xc[order]
+    t = T[order]
+    e = E[order]
+    eta = x @ beta
+    w = np.exp(eta)
+    p = Xc.shape[1]
+    ll = 0.0
+    grad = np.zeros(p)
+    hess = np.zeros((p, p))
+    steps: list[tuple[float, float]] = []
+    s0 = 0.0
+    s1 = np.zeros(p)
+    s2 = np.zeros((p, p))
+    n = len(t)
+    i = 0
+    while i < n:
+        j = i
+        while j < n and t[j] == t[i]:
+            j += 1
+        xb = x[i:j]
+        wb = w[i:j]
+        s0 += float(wb.sum())
+        s1 += wb @ xb
+        s2 += (xb * wb[:, None]).T @ xb
+        ev = e[i:j] == 1
+        d = int(ev.sum())
+        if d:
+            mean = s1 / s0
+            ll += float(eta[i:j][ev].sum()) - d * np.log(s0)
+            grad += xb[ev].sum(axis=0) - d * mean
+            hess -= d * (s2 / s0 - np.outer(mean, mean))
+            steps.append((float(t[i]), d / s0))
+        i = j
+    return ll, grad, hess, steps
+
+
 def logrank_statistic(T: np.ndarray, E: np.ndarray, group: np.ndarray) -> float:
     """Absolute standardized two-sample log-rank statistic.
 

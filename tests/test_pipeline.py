@@ -249,6 +249,14 @@ class TestConfig:
             PipelineConfig(synth_patients=10, mtry=0).validate()
         PipelineConfig(synth_patients=10, mtry=1).validate()
 
+    def test_k_above_synthetic_cohort_size(self):
+        with pytest.raises(DataError, match="k=11 exceeds point count 10"):
+            PipelineConfig(synth_patients=10, k=11).validate()
+        PipelineConfig(synth_patients=10, k=10).validate()
+        # a tuned run picks its own k; a CSV cohort's size is not known yet
+        PipelineConfig(synth_patients=10, k=11, tune_budget=2).validate()
+        PipelineConfig(trajectory_csv="t.csv", covariate_csv="c.csv", k=11).validate()
+
 
 class TestRunPipeline:
     def config(self, tmp_path, **overrides):
@@ -361,7 +369,11 @@ class TestRunPipeline:
         assert (out / "keep.txt").read_text() == "precious"
 
     def test_failing_stage_is_named_and_cleaned_up(self, tmp_path):
-        cfg = self.config(tmp_path, synth_patients=8, k=50)
+        # a CSV cohort's size is known only once loaded, so k > n fails a stage
+        tpath, cpath = _csv_inputs(tmp_path / "inputs")
+        cfg = self.config(
+            tmp_path, synth_patients=0, trajectory_csv=tpath, covariate_csv=cpath, k=50
+        )
         with pytest.raises(StageError) as excinfo:
             run_pipeline(cfg)
         assert excinfo.value.stage == "clustering"
