@@ -6,6 +6,17 @@ whose leaves hold Nelson-Aalen cumulative hazards.  All estimators consume
 :class:`SurvivalRecord` rows carrying the five cohort covariates plus
 follow-up time and an event indicator.
 
+A Cox fit lays out its risk sets once: the records in descending time, the
+blocks of equal times, and each event block's event count and covariate
+sum over its events.  Each Newton or line-search step is then one sweep.
+An untied block's sums of ``w``, ``w x`` and ``w x x'`` are single
+products; a tied block's are the expressions of the per-block reference
+loop (``oracle_breslow_stats`` in ``tests/helpers.py``).  The running
+risk-set sums and the event blocks' likelihood, gradient and Hessian terms
+are added with ``np.add.accumulate``, which adds left to right as the
+loop's ``+=`` does, so every number equals the loop's bit for bit and fits
+and AICs do not move.
+
 Forest trees stay nested dicts.  The three forest evaluators (one-record
 prediction, batch risk scores, scenario curves) share one batched descent
 that routes all rows through each tree with one comparison per split node,
@@ -305,7 +316,7 @@ def _breslow_sweep(rs: _RiskSets, beta):
     ll = _in_order(eta_e - d * np.log(s0))
     grad = _in_order(rs.event_x - d[:, None] * mean)
     # d * (m m' - s2 / s0) is exactly -(d * (s2 / s0 - m m')), so adding
-    # these terms equals subtracting the loop's
+    # these terms equals the reference loop's subtracting of those
     outer = mean[:, :, None] * mean[:, None, :]
     hess = _in_order(d[:, None, None] * (outer - s2 / s0[:, None, None]))
     return ll, grad, hess, d / s0

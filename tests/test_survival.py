@@ -240,7 +240,7 @@ class TestCox:
         records = make_records(times, events)
         model = cox_fit(records, covariates=np.zeros((6, 1)))
         assert model.beta.tolist() == [0.0]
-        assert model.n_iter == 0
+        assert model.n_iter == 0 and model.converged is True
         want = helpers.oracle_cox_logpl(0.0, np.zeros(6), times, events)
         assert model.log_partial_likelihood == pytest.approx(want, abs=1e-10)
 
@@ -326,11 +326,6 @@ class TestCox:
         assert model.converged is False
         assert model.n_iter == 1
         assert repr(cox_aic(model, 5)) == "1483.558486572998"
-
-    def test_null_fit_converges_without_iterating(self):
-        records = make_records([5.0, 5.0, 8.0, 8.0, 10.0, 12.0], [1, 1, 1, 0, 1, 1])
-        model = cox_fit(records, covariates=np.zeros((6, 1)))
-        assert model.converged is True and model.n_iter == 0
 
     def test_aic_arithmetic(self):
         rng = np.random.default_rng(9)
