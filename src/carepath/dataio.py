@@ -44,16 +44,10 @@ def _check_header(path, row, expected) -> None:
         )
 
 
-def _int_field(path, row_no, name, raw) -> int:
+def _field(path, row_no, name, raw, parse):
+    """``parse(raw)``, with a :class:`DatasetError` naming the row and field."""
     try:
-        return int(raw)
-    except ValueError:
-        raise DatasetError(f"{path} row {row_no}: bad {name} {raw!r}") from None
-
-
-def _float_field(path, row_no, name, raw) -> float:
-    try:
-        return float(raw)
+        return parse(raw)
     except ValueError:
         raise DatasetError(f"{path} row {row_no}: bad {name} {raw!r}") from None
 
@@ -84,7 +78,7 @@ def load_trajectories(path) -> list[PatientTrajectory]:
         if len(row) != 3:
             raise DatasetError(f"{path} row {row_no}: expected 3 fields, got {len(row)}")
         patient_id, seq_raw, code_raw = row
-        seq_index = _int_field(path, row_no, "seq_index", seq_raw)
+        seq_index = _field(path, row_no, "seq_index", seq_raw, int)
         try:
             code = parse_code(code_raw)
         except CodeError as exc:
@@ -134,15 +128,15 @@ def load_dataset(
             records.append(
                 SurvivalRecord(
                     patient_id=traj.patient_id,
-                    birth_year=_int_field(covariate_csv, row_no, "birth_year", row[1]),
-                    sex=_int_field(covariate_csv, row_no, "sex", row[2]),
+                    birth_year=_field(covariate_csv, row_no, "birth_year", row[1], int),
+                    sex=_field(covariate_csv, row_no, "sex", row[2], int),
                     n_hospitalizations=n_hosp,
-                    shock_flag=_int_field(covariate_csv, row_no, "shock_flag", row[3]),
-                    total_stay_days=_int_field(
-                        covariate_csv, row_no, "total_stay_days", row[4]
+                    shock_flag=_field(covariate_csv, row_no, "shock_flag", row[3], int),
+                    total_stay_days=_field(
+                        covariate_csv, row_no, "total_stay_days", row[4], int
                     ),
-                    event=_int_field(covariate_csv, row_no, "event", row[5]),
-                    time=_float_field(covariate_csv, row_no, "time_days", row[6]),
+                    event=_field(covariate_csv, row_no, "event", row[5], int),
+                    time=_field(covariate_csv, row_no, "time_days", row[6], float),
                 )
             )
         except DataError as exc:
@@ -161,18 +155,8 @@ def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
 
 
 def write_trajectories_csv(path, trajectories: Sequence[PatientTrajectory]) -> None:
-    """Write one row per stay; a code whose rendering would read back as
-    another code raises :class:`DataError` before the file is opened."""
-    for code in dict.fromkeys(c for traj in trajectories for c in traj.codes):
-        try:
-            same = code.is_death or parse_code(code.render()) == code
-        except CodeError:
-            same = False
-        if not same:
-            raise DataError(
-                f"code {code!r} would be written as {code.render()!r}, "
-                "which reads back as another code"
-            )
+    """Write one row per stay, each code as its rendering, which
+    :func:`load_trajectories` reads back as the same code."""
     write_csv(
         path,
         TRAJECTORY_HEADER,

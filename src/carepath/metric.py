@@ -165,20 +165,9 @@ def _directed_sums(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.
 
 def _encode(sequences: Sequence[Sequence[StayCode]]) -> _Encoding:
     """First-seen vocabulary of distinct codes and one row of code ids per sequence."""
-    vocab: dict[tuple[str, ...], int] = {}
-    reps: list[StayCode] = []
-    rows = []
-    for codes in sequences:
-        row = []
-        for c in codes:
-            # keyed on the components, as two different codes can render alike
-            key = (c.category, c.care_type, c.counter, c.severity)
-            idx = vocab.setdefault(key, len(reps))
-            if idx == len(reps):
-                reps.append(c)
-            row.append(idx)
-        rows.append(row)
-    return reps, rows
+    vocab: dict[StayCode, int] = {}
+    rows = [[vocab.setdefault(c, len(vocab)) for c in codes] for codes in sequences]
+    return list(vocab), rows
 
 
 def _encode_cohort(patients: Sequence[PatientTrajectory]) -> _Encoding:

@@ -210,6 +210,11 @@ class FrequencyTable:
     denominators: tuple[int, ...]
 
 
+def _top_k(counts: Counter, top_k: int) -> list[tuple]:
+    """The ``top_k`` items of ``counts`` by descending count, ties by ascending key."""
+    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
+
+
 def frequency_table(
     trajectories: Sequence[PatientTrajectory], positions: int, top_k: int
 ) -> FrequencyTable:
@@ -231,7 +236,7 @@ def frequency_table(
             columns.append(())
             continue
         counts = Counter(t.codes[pos].render() for t in holders)
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
+        ranked = _top_k(counts, top_k)
         columns.append(
             tuple((code, count / len(holders)) for code, count in ranked)
         )
@@ -273,7 +278,7 @@ def sankey_flows(
             for t in trajectories
             if len(t.codes) > source_pos
         )
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
+        ranked = _top_k(counts, top_k)
         edges.extend(
             SankeyEdge(source_pos, source, target_pos, target, count)
             for (source, target), count in ranked
@@ -384,10 +389,6 @@ def _split_indices(m: int, test_size: float, seed: int) -> tuple[np.ndarray, np.
     if n_test >= m:
         n_test = m - 1
     return perm[n_test:], perm[:n_test]
-
-
-def _nonconstant_columns(X: np.ndarray) -> np.ndarray:
-    return np.array([np.unique(X[:, j]).size > 1 for j in range(X.shape[1])])
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunResult:
@@ -561,7 +562,7 @@ def cohort_cox_aic(
     Returns ``None`` when no covariate varies or the fit degenerates.
     """
     X = covariate_matrix(records, use_age=use_age, reference_year=reference_year)
-    keep = _nonconstant_columns(X)
+    keep = (X != X[:1]).any(axis=0)
     if not keep.any():
         return None
     try:

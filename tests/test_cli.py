@@ -79,6 +79,15 @@ class TestExitCodes:
     def test_missing_input_file_is_a_data_error(self, tmp_path):
         assert cli.main(["mine", "--trajectories", str(tmp_path / "nope.csv")]) == 2
 
+    @pytest.mark.parametrize("code", ["05_092", "05m0#2", "05M0_"])
+    def test_non_canonical_code_is_a_data_error(self, tmp_path, capsys, code):
+        bad = tmp_path / "t.csv"
+        bad.write_text(f"patient_id,seq_index,code\r\nA,0,05M092\r\nA,1,{code}\r\n")
+        assert cli.main(["mine", "--trajectories", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} row 3: code ")
+        assert "outside A-Z0-9" in err
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,5 +1,9 @@
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carepath.codes import (
     DEATH,
@@ -78,3 +82,65 @@ def test_codes_are_hashable_and_frozen():
 def test_severity_placeholder_only_in_last_slot():
     code = StayCode("05", "M", "09", "_")
     assert code.render() == "05M09_"
+
+
+@pytest.mark.parametrize(
+    "parts, error",
+    [
+        # the first four would render as 05M092 or 05M09_
+        (("05M", "0", "9", "2"), InvalidCodeLength),
+        (("0", "5M", "09", "2"), InvalidCodeLength),
+        (("05", "M", "092", ""), InvalidCodeLength),
+        (("05", "M", "0", "9_"), InvalidCodeLength),
+        (("", "", "", "2"), InvalidCodeLength),
+        (("05", "m", "09", "2"), InvalidCodeCharset),
+        (("05", "M", "0_", "2"), InvalidCodeCharset),
+        (("_5", "M", "09", "2"), InvalidCodeCharset),
+        (("0|", "M", "09", "2"), InvalidCodeCharset),
+        ((5, "M", "09", "2"), InvalidCodeCharset),
+    ],
+)
+def test_non_canonical_components_are_refused(parts, error):
+    with pytest.raises(error):
+        StayCode(*parts)
+
+
+_ALNUM = string.ascii_uppercase + string.digits
+
+
+_WELL_FORMED = st.tuples(
+    st.text(_ALNUM, min_size=2, max_size=2),
+    st.text(_ALNUM, min_size=1, max_size=1),
+    st.text(_ALNUM, min_size=2, max_size=2),
+    st.text(_ALNUM + SEVERITY_PLACEHOLDER, min_size=1, max_size=1),
+)
+
+
+@st.composite
+def _components(draw):
+    # a well-formed code, or one with one component replaced: by characters
+    # outside the component's alphabet at its width, or by any short string
+    parts = list(draw(_WELL_FORMED))
+    i = draw(st.integers(-1, 3))
+    if i >= 0:
+        odd = "_0a|ß \n"
+        width = len(parts[i])
+        parts[i] = draw(st.text(odd, min_size=width, max_size=width) | st.text(odd, max_size=3))
+    return tuple(parts)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_components())
+def test_exactly_the_canonical_codes_construct_and_round_trip(parts):
+    widths = tuple(len(p) for p in parts)
+    chars_ok = all(ch in _ALNUM for p in parts[:3] for ch in p) and all(
+        ch in _ALNUM + SEVERITY_PLACEHOLDER for ch in parts[3]
+    )
+    if widths == (0, 0, 0, 0) or (widths == (2, 1, 2, 1) and chars_ok):
+        code = StayCode(*parts)
+        # so two codes render alike only if they are the same code
+        assert parse_code(code.render()) == code
+    else:
+        expected = InvalidCodeCharset if widths == (2, 1, 2, 1) else InvalidCodeLength
+        with pytest.raises(expected):
+            StayCode(*parts)

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import platform
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from carepath.pipeline import (
     _pattern_report_rows,
     _split_indices,
 )
+from carepath.survival import SurvivalRecord, covariate_matrix, cox_fit
 from carepath.synthetic import generate_cohort
 
 
@@ -217,6 +219,33 @@ class TestSurvivalHelpers:
     def test_cox_aic_on_varied_cohort(self, midsize_cohort):
         value = cohort_cox_aic(midsize_cohort[1])
         assert value is not None and np.isfinite(value)
+
+    @settings(deadline=None, database=None)
+    @given(st.data(), st.integers(0, 12), st.booleans())
+    def test_cox_aic_fits_the_columns_np_unique_finds_varying(self, data, n, use_age):
+        # each covariate takes one or two values, so constant columns come up often
+        def field(values):
+            pool = data.draw(st.lists(values, min_size=1, max_size=2, unique=True))
+            return [data.draw(st.sampled_from(pool)) for _ in range(n)]
+
+        columns = zip(
+            field(st.integers(1930, 2000)),
+            field(st.sampled_from([1, 2])),
+            field(st.integers(0, 4)),
+            field(st.sampled_from([0, 1])),
+            field(st.integers(0, 60)),
+            field(st.integers(1, 400)),
+            field(st.sampled_from([0, 1])),
+        )
+        records = [SurvivalRecord(f"P{i}", *row) for i, row in enumerate(columns)]
+        X = covariate_matrix(records, use_age=use_age)
+        keep = np.array([np.unique(X[:, j]).size > 1 for j in range(X.shape[1])])
+        with mock.patch("carepath.pipeline.cox_fit", wraps=cox_fit) as fit:
+            aic = cohort_cox_aic(records, use_age=use_age)
+        if keep.any():
+            assert np.array_equal(fit.call_args.kwargs["covariates"], X[:, keep])
+        else:
+            assert aic is None and not fit.called
 
     def test_holdout_rsf_tiny_group(self, midsize_cohort):
         assert holdout_rsf(midsize_cohort[1][:3], trees=5, mtry=None, seed=0) == (None, None)

@@ -1,0 +1,28 @@
+import re
+from pathlib import Path
+
+from carepath.pipeline import PipelineConfig, apply_config_file
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _blocks(text, language):
+    return re.findall(rf"^```{language}\n(.*?)^```$", text, flags=re.MULTILINE | re.DOTALL)
+
+
+def test_readme_examples_run(tmp_path, capsys):
+    text = README.read_text()
+    python = _blocks(text, "python")
+    assert len(python) == 2
+    namespace: dict = {}
+    for block in python:  # the second block reuses the first one's records
+        exec(compile(block, str(README), "exec"), namespace)
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+    (ini,) = _blocks(text, "ini")
+    config = tmp_path / "pipeline.ini"
+    config.write_text(ini)
+    cfg = PipelineConfig()
+    apply_config_file(cfg, config)
+    cfg.validate()
+    assert (cfg.synth_patients, cfg.k, cfg.tune_budget) == (500, 5, 0)
