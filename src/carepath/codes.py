@@ -57,13 +57,8 @@ class StayCode:
             raise InvalidCodeCharset(f"code components {parts!r} are not strings") from None
         if _CANONICAL_RE.fullmatch(joined) is None:
             if tuple(map(len, parts)) != (2, 1, 2, 1):
-                raise InvalidCodeLength(
-                    f"code components {parts!r} are neither of widths 2/1/2/1 nor all empty"
-                )
-            raise InvalidCodeCharset(
-                f"code {''.join(parts)!r} has characters outside A-Z0-9 "
-                f"(or {SEVERITY_PLACEHOLDER!r} as the severity)"
-            )
+                raise InvalidCodeLength(f"code components {parts!r} are not of widths 2/1/2/1")
+            raise InvalidCodeCharset(f"code {''.join(parts)!r} has characters outside A-Z0-9")
 
     @property
     def is_death(self) -> bool:
