@@ -80,9 +80,11 @@ def parse_code(text: str) -> StayCode:
     """Parse ``text`` into a :class:`StayCode`.
 
     Accepts the death token (case-insensitive), a six-character code, or a
-    five-character code whose missing severity is padded with ``_``.  Input
-    is uppercased; the characters are checked when the code is constructed.
+    five-character code whose missing severity is padded with ``_``.  Non-ASCII
+    input is refused (``ß`` would uppercase to ``SS``); the rest is uppercased.
     """
+    if not text.isascii():
+        raise InvalidCodeCharset(f"code {text!r} has characters outside A-Z0-9")
     if text.lower() == DEATH_TOKEN.lower():
         return DEATH
     code = text.upper()

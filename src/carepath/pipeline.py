@@ -1,12 +1,11 @@
 """End-to-end orchestration: cohort in, analysis artifacts out.
 
-A run ingests (or synthesizes) a cohort, optionally tunes the metric
-weights and cluster count, builds the distance matrix, clusters around
-medoids, mines per-cluster code patterns, fits per-cluster survival models,
-and writes every report as CSV plus a manifest that pins the run.  All
-randomness derives from one master seed, so a fixed configuration
-reproduces its artifact directory byte for byte.  On failure the partial
-output directory is removed and the failing stage is named.
+A run is the ordered list ``_STEPS`` of named steps, from loading the cohort
+to writing ``manifest.ini``, over one :class:`RunResult` that each step reads
+and extends.  All randomness derives from one master seed, so a fixed
+configuration reproduces its artifact directory byte for byte.  A failing
+step removes the partial output directory and raises :class:`StageError`
+under its name.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import configparser
 import platform
 import shutil
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -160,8 +159,6 @@ def setting_text(value) -> str:
         return ""
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, MetricWeights):
         return ",".join(str(w) for w in value.as_tuple())
     return str(value)
@@ -190,7 +187,7 @@ def apply_config_file(cfg: PipelineConfig, path) -> None:
         spec = SETTINGS.get((section, key))
         if spec is None:
             raise DataError(f"{path}: unknown config key [{section}] {key}")
-        field, parse = spec
+        name, parse = spec
         raw = raw.strip()
         if raw == "":
             continue
@@ -198,7 +195,7 @@ def apply_config_file(cfg: PipelineConfig, path) -> None:
             value = parse(raw)
         except ValueError:
             raise DataError(f"{path}: bad value {raw!r} for [{section}] {key}") from None
-        setattr(cfg, field, value)
+        setattr(cfg, name, value)
 
 
 @dataclass(frozen=True)
@@ -232,9 +229,6 @@ def frequency_table(
     for pos in range(positions):
         holders = [t for t in trajectories if len(t.codes) > pos]
         denominators.append(len(holders))
-        if not holders:
-            columns.append(())
-            continue
         counts = Counter(t.codes[pos].render() for t in holders)
         ranked = _top_k(counts, top_k)
         columns.append(
@@ -296,14 +290,23 @@ class ClusterMetrics:
 
 @dataclass
 class RunResult:
+    """A run's results and, while the steps of ``_STEPS`` run, its state.  The
+    private fields are for later steps; the matrix is dropped after clustering."""
+
+    config: PipelineConfig
     out_dir: Path
     weights: MetricWeights
     k: int
-    clustering: Clustering
-    trajectories: list[PatientTrajectory]
-    records: list[SurvivalRecord]
-    metrics: list[ClusterMetrics]
     tuned: bool
+    trajectories: list[PatientTrajectory] = field(default_factory=list)
+    records: list[SurvivalRecord] = field(default_factory=list)
+    clustering: Clustering | None = None
+    metrics: list[ClusterMetrics] = field(default_factory=list)
+    _db: list[list[str]] = field(default_factory=list, repr=False)
+    _rows: list[np.ndarray] = field(default_factory=list, repr=False)
+    _table: np.ndarray | None = field(default=None, repr=False)
+    _matrix: np.ndarray | None = field(default=None, repr=False)
+    _members: list[np.ndarray] = field(default_factory=list, repr=False)
 
 
 def _fmt(value: float | None) -> str:
@@ -391,165 +394,180 @@ def _split_indices(m: int, test_size: float, seed: int) -> tuple[np.ndarray, np.
     return perm[n_test:], perm[:n_test]
 
 
+def _data(run: RunResult) -> None:
+    cfg = run.config
+    paths = (cfg.trajectory_csv, cfg.covariate_csv)
+    if cfg.synth_patients > 0:
+        trajectories, records, _ = generate_cohort(
+            cfg.synth_patients,
+            seed=_derived_seed(cfg.seed, 0),
+            max_len=cfg.synth_max_len,
+            horizon_days=cfg.horizon_days,
+        )
+        # written, then loaded through the ingestion path so both sources behave alike
+        paths = (run.out_dir / "trajectories.csv", run.out_dir / "covariates.csv")
+        write_trajectories_csv(paths[0], trajectories)
+        write_covariates_csv(paths[1], records)
+    run.trajectories, run.records = load_dataset(*paths)
+    run._db = [t.renderings() for t in run.trajectories]
+
+
+def _tuning(run: RunResult) -> None:
+    if run.tuned:
+        best, log = tune_search(
+            run.trajectories,
+            run._db,
+            budget=run.config.tune_budget,
+            seed=_derived_seed(run.config.seed, 4),
+            score_cfg=ScoreConfig(top_per_length=run.config.top_k),
+        )
+        run.weights, run.k = best.weights, best.k
+        write_trial_log(run.out_dir / "trial_log.csv", log)
+
+
+def _distance(run: RunResult) -> None:
+    reps, run._rows = _encode_cohort(run.trajectories)
+    run._table = _code_table(reps, run.weights)
+    run._matrix = _matrix(run._table, run._rows)
+    patient_ids = [t.patient_id for t in run.trajectories]
+    save_matrix_csv(run.out_dir / "distance_matrix.csv", run._matrix, patient_ids)
+    save_matrix_binary(run.out_dir / "distance_matrix.bin", run._matrix)
+
+
+def _clustering(run: RunResult) -> None:
+    run.clustering = fit_kmedoids(run._matrix, run.k, seed=_derived_seed(run.config.seed, 1))
+    run._matrix = None
+    patient_ids = [t.patient_id for t in run.trajectories]
+    write_assignments_csv(run.out_dir / "assignments.csv", patient_ids, run.clustering)
+    run._members = [np.flatnonzero(run.clustering.assignment == c) for c in range(run.k)]
+
+
+def _patterns(run: RunResult) -> None:
+    write_csv(
+        run.out_dir / "patterns.csv",
+        ("scope", "length", "rank", "count", "frequency", "pattern"),
+        _pattern_report_rows(run._db, run.clustering.assignment, run.k, run.config),
+    )
+
+
+def _frequency(run: RunResult) -> None:
+    scopes = [("global", range(len(run.trajectories)))]
+    scopes += [(f"cluster_{cid}", members) for cid, members in enumerate(run._members)]
+    for scope, indices in scopes:
+        dead = [run.trajectories[i] for i in indices if run.trajectories[i].ends_in_death]
+        if dead:
+            write_frequency_csv(
+                run.out_dir / f"frequency_{scope}.csv",
+                frequency_table(dead, run.config.positions, run.config.top_k),
+            )
+
+
+def _sankey(run: RunResult) -> None:
+    pairs = [(i, i + 1) for i in range(run.config.sankey_pairs)]
+    for cid, members in enumerate(run._members):
+        write_sankey_csv(
+            run.out_dir / f"sankey_cluster_{cid}.csv",
+            sankey_flows([run.trajectories[i] for i in members], pairs, run.config.top_k),
+        )
+
+
+def _profiles(run: RunResult) -> None:
+    medoid_rows = [run._rows[m] for m in run.clustering.medoid_indices]
+    profile_rows = []
+    for traj, row, cid in zip(run.trajectories, run._rows, run.clustering.assignment.tolist()):
+        # exact: min only selects a table entry
+        profile = run._table[row][:, medoid_rows[cid]].min(axis=1).tolist()
+        for pos, dist in enumerate(profile):
+            profile_rows.append([traj.patient_id, cid, pos, repr(dist)])
+    write_csv(
+        run.out_dir / "medoid_profiles.csv",
+        ("patient_id", "cluster", "position", "distance"),
+        profile_rows,
+    )
+
+
+def _survival(run: RunResult) -> None:
+    cfg = run.config
+    for cid, members in enumerate(run._members):
+        cluster_records = [run.records[i] for i in members]
+        aic = cohort_cox_aic(cluster_records, cfg.use_age, cfg.reference_year)
+        cidx, forest = holdout_rsf(
+            cluster_records,
+            trees=cfg.trees,
+            mtry=cfg.mtry,
+            seed=_derived_seed(cfg.seed, 3, cid),
+            test_size=cfg.test_size,
+            use_age=cfg.use_age,
+            reference_year=cfg.reference_year,
+        )
+        run.metrics.append(ClusterMetrics(cid, len(cluster_records), aic, cidx))
+        if forest is not None:
+            best, worst = scenario_curves(forest, cluster_records)
+            write_csv(
+                run.out_dir / f"scenarios_cluster_{cid}.csv",
+                ("scenario", "time", "survival"),
+                (
+                    [label, repr(float(t)), repr(float(s))]
+                    for label, curve in (("best", best), ("worst", worst))
+                    for t, s in zip(curve.times, curve.values)
+                ),
+            )
+    write_csv(
+        run.out_dir / "metrics.csv",
+        ("cluster", "size", "aic", "c_index"),
+        ([m.cluster, m.size, _fmt(m.aic), _fmt(m.c_index)] for m in run.metrics),
+    )
+
+
+def _manifest(run: RunResult) -> None:
+    cfg = run.config
+    chosen = replace(cfg, weights=run.weights, k=run.k)
+    unused = {"out_dir"} | (
+        {"trajectory_csv", "covariate_csv"}
+        if cfg.synth_patients > 0
+        else {"synth_patients", "synth_max_len", "horizon_days"}
+    )
+    python = platform.python_version()
+    sections = {"versions": {"carepath": __version__, "python": python, "numpy": np.__version__}}
+    for (section, key), (name, _) in SETTINGS.items():
+        if name not in unused:
+            sections.setdefault(section, {})[key] = setting_text(getattr(chosen, name))
+    sections["metric"]["tuned"] = setting_text(run.tuned)  # after tune_budget, the last key
+    parser = _ini()
+    parser.read_dict(sections)
+    with open(run.out_dir / "manifest.ini", "w") as fh:
+        parser.write(fh)
+
+
+_STEPS = (
+    ("data", _data),
+    ("tuning", _tuning),
+    ("distance", _distance),
+    ("clustering", _clustering),
+    ("patterns", _patterns),
+    ("frequency", _frequency),
+    ("sankey", _sankey),
+    ("profiles", _profiles),
+    ("survival", _survival),
+    ("manifest", _manifest),
+)
+
+
 def run_pipeline(cfg: PipelineConfig) -> RunResult:
+    """Run the steps of ``_STEPS`` in order, writing into ``cfg.out_dir``."""
     cfg.validate()
     out = Path(cfg.out_dir)
     if out.exists() and any(out.iterdir()):
         raise DataError(f"output directory {out} exists and is not empty")
     out.mkdir(parents=True, exist_ok=True)
-
-    stage = "data"
-    try:
-        # --- data -----------------------------------------------------
-        if cfg.synth_patients > 0:
-            trajectories, records, _ = generate_cohort(
-                cfg.synth_patients,
-                seed=_derived_seed(cfg.seed, 0),
-                max_len=cfg.synth_max_len,
-                horizon_days=cfg.horizon_days,
-            )
-            write_trajectories_csv(out / "trajectories.csv", trajectories)
-            write_covariates_csv(out / "covariates.csv", records)
-            # reload through the ingestion path so both sources behave alike
-            trajectories, records = load_dataset(
-                out / "trajectories.csv", out / "covariates.csv"
-            )
-        else:
-            trajectories, records = load_dataset(cfg.trajectory_csv, cfg.covariate_csv)
-        db = [t.renderings() for t in trajectories]
-
-        # --- tuning ---------------------------------------------------
-        stage = "tuning"
-        weights, k = cfg.weights, cfg.k
-        tuned = cfg.tune_budget > 0
-        if tuned:
-            best, log = tune_search(
-                trajectories,
-                db,
-                budget=cfg.tune_budget,
-                seed=_derived_seed(cfg.seed, 4),
-                score_cfg=ScoreConfig(top_per_length=cfg.top_k),
-            )
-            weights, k = best.weights, best.k
-            write_trial_log(out / "trial_log.csv", log)
-
-        # --- distance matrix -----------------------------------------
-        stage = "distance"
-        reps, rows = _encode_cohort(trajectories)
-        table = _code_table(reps, weights)
-        matrix = _matrix(table, rows)
-        patient_ids = [t.patient_id for t in trajectories]
-        save_matrix_csv(out / "distance_matrix.csv", matrix, patient_ids)
-        save_matrix_binary(out / "distance_matrix.bin", matrix)
-
-        # --- clustering ----------------------------------------------
-        stage = "clustering"
-        clustering = fit_kmedoids(matrix, k, seed=_derived_seed(cfg.seed, 1))
-        write_assignments_csv(out / "assignments.csv", patient_ids, clustering)
-
-        members: dict[int, list[int]] = {c: [] for c in range(k)}
-        for i, label in enumerate(clustering.assignment):
-            members[int(label)].append(i)
-
-        # --- pattern report ------------------------------------------
-        stage = "patterns"
-        write_csv(
-            out / "patterns.csv",
-            ("scope", "length", "rank", "count", "frequency", "pattern"),
-            _pattern_report_rows(db, clustering.assignment, k, cfg),
-        )
-
-        # --- frequency tables (deceased subset) ----------------------
-        stage = "frequency"
-        scopes = [("global", range(len(trajectories)))]
-        scopes += [(f"cluster_{cid}", members[cid]) for cid in range(k)]
-        for scope, indices in scopes:
-            dead = [trajectories[i] for i in indices if trajectories[i].ends_in_death]
-            if dead:
-                write_frequency_csv(
-                    out / f"frequency_{scope}.csv",
-                    frequency_table(dead, cfg.positions, cfg.top_k),
-                )
-
-        # --- sankey flows --------------------------------------------
-        stage = "sankey"
-        pairs = [(i, i + 1) for i in range(cfg.sankey_pairs)]
-        for cid in range(k):
-            cluster_traj = [trajectories[i] for i in members[cid]]
-            write_sankey_csv(
-                out / f"sankey_cluster_{cid}.csv",
-                sankey_flows(cluster_traj, pairs, cfg.top_k),
-            )
-
-        # --- medoid profiles -----------------------------------------
-        stage = "profiles"
-        profile_rows = []
-        for i, traj in enumerate(trajectories):
-            cid = int(clustering.assignment[i])
-            medoid_row = rows[clustering.medoid_indices[cid]]
-            # exact: min only selects a table entry
-            profile = table[rows[i]][:, medoid_row].min(axis=1).tolist()
-            for pos, dist in enumerate(profile):
-                profile_rows.append([traj.patient_id, cid, pos, repr(dist)])
-        write_csv(
-            out / "medoid_profiles.csv",
-            ("patient_id", "cluster", "position", "distance"),
-            profile_rows,
-        )
-
-        # --- survival models -----------------------------------------
-        stage = "survival"
-        metrics: list[ClusterMetrics] = []
-        for cid in range(k):
-            cluster_records = [records[i] for i in members[cid]]
-            aic = cohort_cox_aic(cluster_records, cfg.use_age, cfg.reference_year)
-            cidx, forest = holdout_rsf(
-                cluster_records,
-                trees=cfg.trees,
-                mtry=cfg.mtry,
-                seed=_derived_seed(cfg.seed, 3, cid),
-                test_size=cfg.test_size,
-                use_age=cfg.use_age,
-                reference_year=cfg.reference_year,
-            )
-            metrics.append(ClusterMetrics(cid, len(cluster_records), aic, cidx))
-            if forest is not None:
-                best, worst = scenario_curves(forest, cluster_records)
-                write_csv(
-                    out / f"scenarios_cluster_{cid}.csv",
-                    ("scenario", "time", "survival"),
-                    (
-                        [label, repr(float(t)), repr(float(s))]
-                        for label, curve in (("best", best), ("worst", worst))
-                        for t, s in zip(curve.times, curve.values)
-                    ),
-                )
-        write_csv(
-            out / "metrics.csv",
-            ("cluster", "size", "aic", "c_index"),
-            (
-                [m.cluster, m.size, _fmt(m.aic), _fmt(m.c_index)]
-                for m in metrics
-            ),
-        )
-
-        # --- manifest -------------------------------------------------
-        stage = "manifest"
-        _write_manifest(out / "manifest.ini", cfg, weights, k, tuned)
-    except Exception as exc:
-        shutil.rmtree(out, ignore_errors=True)
-        raise StageError(stage, exc) from exc
-
-    return RunResult(
-        out_dir=out,
-        weights=weights,
-        k=k,
-        clustering=clustering,
-        trajectories=trajectories,
-        records=records,
-        metrics=metrics,
-        tuned=tuned,
-    )
+    run = RunResult(cfg, out, cfg.weights, cfg.k, tuned=cfg.tune_budget > 0)
+    for name, step in _STEPS:
+        try:
+            step(run)
+        except Exception as exc:
+            shutil.rmtree(out, ignore_errors=True)
+            raise StageError(name, exc) from exc
+    return run
 
 
 def cohort_cox_aic(
@@ -609,24 +627,3 @@ def holdout_rsf(
     except NumericError:
         return None, None
     return value, forest
-
-
-def _write_manifest(
-    path: Path, cfg: PipelineConfig, weights: MetricWeights, k: int, tuned: bool
-) -> None:
-    chosen = replace(cfg, weights=weights, k=k)
-    unused = {"out_dir"} | (
-        {"trajectory_csv", "covariate_csv"}
-        if cfg.synth_patients > 0
-        else {"synth_patients", "synth_max_len", "horizon_days"}
-    )
-    python = platform.python_version()
-    sections = {"versions": {"carepath": __version__, "python": python, "numpy": np.__version__}}
-    for (section, key), (field, _) in SETTINGS.items():
-        if field not in unused:
-            sections.setdefault(section, {})[key] = setting_text(getattr(chosen, field))
-    sections["metric"]["tuned"] = setting_text(tuned)  # after tune_budget, the last key
-    parser = _ini()
-    parser.read_dict(sections)
-    with open(path, "w") as fh:
-        parser.write(fh)

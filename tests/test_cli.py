@@ -79,7 +79,7 @@ class TestExitCodes:
     def test_missing_input_file_is_a_data_error(self, tmp_path):
         assert cli.main(["mine", "--trajectories", str(tmp_path / "nope.csv")]) == 2
 
-    @pytest.mark.parametrize("code", ["05_092", "05m0#2", "05M0_"])
+    @pytest.mark.parametrize("code", ["05_092", "05m0#2", "05M0_", "05Mß2", "05mı92"])
     def test_non_canonical_code_is_a_data_error(self, tmp_path, capsys, code):
         bad = tmp_path / "t.csv"
         bad.write_text(f"patient_id,seq_index,code\r\nA,0,05M092\r\nA,1,{code}\r\n")

@@ -42,7 +42,10 @@ def test_parse_rejects_bad_lengths(raw):
         parse_code(raw)
 
 
-@pytest.mark.parametrize("raw", ["05M0#2", "05_092", "0-M092", "05M09!", "05 092"])
+# non-ASCII letters that uppercase to ASCII ones: "ß" to "SS", dotless "ı" to "I"
+@pytest.mark.parametrize(
+    "raw", ["05M0#2", "05_092", "0-M092", "05M09!", "05 092", "05Mß2", "05mı92"]
+)
 def test_parse_rejects_bad_characters(raw):
     with pytest.raises(InvalidCodeCharset):
         parse_code(raw)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import carepath
 import helpers
-from carepath import cli
+from carepath import cli, pipeline
 from carepath.codes import parse_code
 from carepath.errors import DataError
 from carepath.dataio import write_covariates_csv, write_trajectories_csv
@@ -314,6 +314,7 @@ class TestRunPipeline:
         assert sorted(m.size for m in result.metrics) == sorted(
             np.bincount(result.clustering.assignment, minlength=4).tolist()
         )
+        assert result._matrix is None  # the n x n matrix is not kept past clustering
 
     def test_reruns_are_byte_identical(self, tmp_path):
         a = run_pipeline(self.config(tmp_path, out_dir=str(tmp_path / "a")))
@@ -459,21 +460,78 @@ class TestRunPipeline:
         assert medoid_flags.count("1") == 4
 
     def test_artifact_bytes_are_pinned(self, tmp_path):
-        # every file but manifest.ini, whose text TestManifestText pins
         cfg = PipelineConfig(
             seed=13, out_dir=str(tmp_path / "run"), synth_patients=120, k=3, trees=10
         )
-        out = run_pipeline(cfg).out_dir
-        digests = {
-            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in out.iterdir()
-            if p.name != "manifest.ini"
-        }
-        assert digests == PINNED_DIGESTS
+        assert _artifact_digests(run_pipeline(cfg).out_dir) == PINNED_DIGESTS
+
+    def test_tuned_artifact_bytes_are_pinned(self, tmp_path):
+        cfg = PipelineConfig(
+            seed=13, out_dir=str(tmp_path / "run"), synth_patients=120, tune_budget=3, trees=10
+        )
+        result = run_pipeline(cfg)
+        assert (result.k, result.weights) == (13, MetricWeights(38, 15, 12, 5))
+        assert _artifact_digests(result.out_dir) == PINNED_TUNED_DIGESTS
 
 
-# sha256 of every file of that 120-patient run, other settings at their
-# defaults; recorded under Python 3.11 and numpy 2.4 on x86-64
+# a call made inside each step, in step order; write_csv is shared by several
+# steps, so it fails only on the profiles step's file
+STEP_CALLS = [
+    ("data", "generate_cohort"),
+    ("tuning", "tune_search"),
+    ("distance", "_matrix"),
+    ("clustering", "fit_kmedoids"),
+    ("patterns", "_pattern_report_rows"),
+    ("frequency", "frequency_table"),
+    ("sankey", "sankey_flows"),
+    ("profiles", "write_csv"),
+    ("survival", "cohort_cox_aic"),
+    ("manifest", "setting_text"),
+]
+
+
+class TestStageErrors:
+    def test_calls_cover_every_step(self):
+        assert [stage for stage, _ in STEP_CALLS] == [name for name, _ in pipeline._STEPS]
+
+    @pytest.mark.parametrize("stage, call", STEP_CALLS, ids=[s for s, _ in STEP_CALLS])
+    def test_failure_is_named_and_cleaned_up(self, tmp_path, monkeypatch, stage, call):
+        real = getattr(pipeline, call)
+        fault = RuntimeError(f"{call} broke")
+
+        def failing(*args, **kwargs):
+            if call == "write_csv" and args[0].name != "medoid_profiles.csv":
+                return real(*args, **kwargs)
+            raise fault
+
+        monkeypatch.setattr(pipeline, call, failing)
+        cfg = PipelineConfig(
+            seed=5, out_dir=str(tmp_path / "run"), synth_patients=40, tune_budget=2, trees=4
+        )
+        with pytest.raises(StageError) as excinfo:
+            run_pipeline(cfg)
+        assert excinfo.value.stage == stage
+        assert excinfo.value.cause is fault
+        assert str(excinfo.value) == f"stage {stage!r} failed: {call} broke"
+        assert not (tmp_path / "run").exists()
+
+
+def _artifact_digests(out) -> dict[str, str]:
+    """sha256 of every file of a run but manifest.ini, whose text
+    TestManifestText pins; trial_log.csv is hashed without its last column,
+    the wall-clock ``wall_ms``."""
+    digests = {}
+    for path in out.iterdir():
+        data = path.read_bytes()
+        if path.name == "trial_log.csv":
+            data = b"\r\n".join(line.rsplit(b",", 1)[0] for line in data.split(b"\r\n"))
+        if path.name != "manifest.ini":
+            digests[path.name] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+# the digests of the two 120-patient runs, other settings at their defaults;
+# recorded under Python 3.11 and numpy 2.4 on x86-64
 PINNED_DIGESTS = {
     "assignments.csv": "863c611eb7353eeade060e45881039e22eeff8eb6b9b893fcc3cb3f567fad3d6",
     "covariates.csv": "414a5239cbc6c8411fcf9e8f578674aa105ceb500d35a1e77512b9b55c4b02cb",
@@ -493,6 +551,52 @@ PINNED_DIGESTS = {
     "scenarios_cluster_1.csv": "b7d3e947c8c81f6c8b80e39d15bc566633847a9f7261287ef8f18058f225d440",
     "scenarios_cluster_2.csv": "0c327f0706868f02cb0ea4ae719ba1c168ced7170114fea6bb4d371867e59683",
     "trajectories.csv": "6aa1694003db5810b284ebc5c542f32cc084dddc4626a622f84e5ba6307d33d6",
+}
+
+PINNED_TUNED_DIGESTS = {
+    "assignments.csv": "559d1858bb1d3c6b268a36cfa9daabfe1fe95626de1ad8b0b2a9c6e9b5a4287f",
+    "covariates.csv": "414a5239cbc6c8411fcf9e8f578674aa105ceb500d35a1e77512b9b55c4b02cb",
+    "distance_matrix.bin": "3a2eb7d2da621dc230c2e9254530fd90e2d4055e4262a2e4c970c54010e8ab0e",
+    "distance_matrix.csv": "afa43d7708bdc46094ebe2ec5c0dec5672b92a9ff33a5dd541d3d4122a979edf",
+    "frequency_cluster_0.csv": "893b759f95518ea468ea3a432e4344ea35a1d0f55e05c3a3b1c58489d3d456d7",
+    "frequency_cluster_1.csv": "3f5af5acac2561b732bcda57bcf8d6ce67b862a4274f23e8c53d202a1368fd03",
+    "frequency_cluster_10.csv": "2b178ce456195279a4372eb924688f1402f42d0beb0ae1b0ab8d38f448b221f5",
+    "frequency_cluster_11.csv": "9ff170b259af552a84b7bcf9b434f631d091720969afa65afee57a297495a70f",
+    "frequency_cluster_12.csv": "5eb1968b399a806a9365d6f485f9fd3b5ce2e87912e675f7011e8ecf0a4ea419",
+    "frequency_cluster_2.csv": "78db20309d645ad62a96afbe65326153cdb3831e20c415ec5b14e2a80537452e",
+    "frequency_cluster_3.csv": "c14abf1f3097f453910469c6ca5748efbf15b861fba8d8b9edf096e7204c62d1",
+    "frequency_cluster_4.csv": "30bfd82858c0ec5a98f16edd9977a7029889cb51905d3d31d75121d517fac632",
+    "frequency_cluster_6.csv": "c28b85eadf8ba340c67f3b5f7f64544c3009df23363c85018b7f8f1d98e56fcc",
+    "frequency_cluster_7.csv": "5eb6bf510ad2820ca54cae230abfca0c201a2f94b0ac675f8894d6c8864b8b13",
+    "frequency_cluster_8.csv": "42bf1604ec752b3e25df39dd70fc1fa9515fd059bfaf9db8415d4f7570da862d",
+    "frequency_cluster_9.csv": "e55d0f1ab0f1b7914ee7b8e25bbbb18320fe440545cf45625d0f9bc83bc89603",
+    "frequency_global.csv": "d24d82b8aac8ce5635cc3da1aab73dce5a1de210011cc5f54431f5fa990466b7",
+    "medoid_profiles.csv": "7de682cc1c279ab1f11fb5746f05cc268ec8af9dba0cf1be074a8d7c51d17c93",
+    "metrics.csv": "c89256af633bd6572e8f3a521fb0ea3404911d63e8e4f88fd912d680e336fad5",
+    "patterns.csv": "47d9ae51155598c205c562182c40f3598ab1b03ae065b98ea04e12a5774ccb9e",
+    "sankey_cluster_0.csv": "d864cc0803241f6d5ef49e54eef69306c10cdf76c545eb342a2de2532530875f",
+    "sankey_cluster_1.csv": "06b7096b43b188a8a089de393af2e2a4fe54e115a7345587a4fa053f76d9cee5",
+    "sankey_cluster_10.csv": "30174785d9ece2f5a54a4f5cb4725f4cab820ffcb36d2d0f92ff1c0ace6701f3",
+    "sankey_cluster_11.csv": "581303c6fc217d6d97988b7a1dc9bf9a4824301b355cef778c786cc9267ab6b9",
+    "sankey_cluster_12.csv": "67eff481ccbd9405c9446c8976cf991ec64313929067b2e366ee0ea3ad85019f",
+    "sankey_cluster_2.csv": "63081360fc941769e26509210a45b747e635ca7643616ce62e9baa04c5626313",
+    "sankey_cluster_3.csv": "48e730d742575d6c82154e149e1da716b476d91f9f4fffa9ab419ba048777605",
+    "sankey_cluster_4.csv": "2901b901c7a9bb1deacbac363acd86a3048179274593db5a9c0824bf0c41a8b4",
+    "sankey_cluster_5.csv": "edc68fb9abfde9cf7a93fe09e5df0d7c45726ecb0b3778b5aabef47a27cd6aef",
+    "sankey_cluster_6.csv": "dc6f83560bd255cf284b8cfd4de9741a5d57724887f1382907fe345615c39545",
+    "sankey_cluster_7.csv": "3b6de64e3ec6fd0f950fc10d89abfeecb66f685df9b408262dc177a582279b52",
+    "sankey_cluster_8.csv": "dec1fc583ac2867fd984e4b5d04c686b095dc181d3e23eeda3c5e202b681016b",
+    "sankey_cluster_9.csv": "a85e4ed731729b55d35cf4a1f477183645a90b3cb02fccba3672d5a37cf60b0f",
+    "scenarios_cluster_0.csv": "461ff0ffc800638c13bdcafb9c6e2ee9dfb4d22f814a29ce6686fc147f64e980",
+    "scenarios_cluster_10.csv": "db9a4d6f758a6c58404700ae7a55c2186811dfa7a67cfcdaed842637491270e1",
+    "scenarios_cluster_2.csv": "d7635431c623477289164455fbafb366cbc7ceec904a19c544c2ee19563e18b8",
+    "scenarios_cluster_3.csv": "6da0f5df99a0c7b514d639a5dd0e1ce242b087d7985615d863575bd2abb961f4",
+    "scenarios_cluster_4.csv": "f8dff9ae809a9701788feeceff71ef1c82599aa7898e823f289cbb2b691e12d0",
+    "scenarios_cluster_6.csv": "0d57bf0fd1e9b21315d12a4dfe1094cd1b2df98886e4e149b74959e58ee0470b",
+    "scenarios_cluster_7.csv": "18a4730384f8da41e5f1424164805860630a63d615c590056597a7fde558eb6f",
+    "scenarios_cluster_9.csv": "d5f0a3d27ba8d28424d5faa6d4ad6e47867f1fc4531591fd08be5afaebd5a3f2",
+    "trajectories.csv": "6aa1694003db5810b284ebc5c542f32cc084dddc4626a622f84e5ba6307d33d6",
+    "trial_log.csv": "ae1f69ed12d4463632af11b6ec3568d2d946e3d914e74f80f5dd5e1ff442e0f6",
 }
 
 

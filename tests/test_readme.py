@@ -1,7 +1,7 @@
 import re
 from pathlib import Path
 
-from carepath.pipeline import PipelineConfig, apply_config_file
+from carepath.pipeline import _STEPS, PipelineConfig, apply_config_file
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -26,3 +26,10 @@ def test_readme_examples_run(tmp_path, capsys):
     apply_config_file(cfg, config)
     cfg.validate()
     assert (cfg.synth_patients, cfg.k, cfg.tune_budget) == (500, 5, 0)
+
+
+def test_readme_lists_the_stages_in_order():
+    text = README.read_text()
+    section = text.split("\n## Pipeline artifacts\n", 1)[1].split("\n## ", 1)[0]
+    stages = re.findall(r"^\d+\. `(\w+)` - ", section, flags=re.MULTILINE)
+    assert stages == [name for name, _ in _STEPS]
