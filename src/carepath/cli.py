@@ -191,8 +191,7 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_tune(args) -> int:
     trajectories = load_trajectories(args.trajectories)
-    db = [t.renderings() for t in trajectories]
-    best, log = tune_search(trajectories, db, budget=args.budget, seed=args.seed)
+    best, log = tune_search(trajectories, budget=args.budget, seed=args.seed)
     if args.out:
         write_trial_log(args.out, log)
     w = setting_text(best.weights)

@@ -44,12 +44,7 @@ def _total_distance(matrix: np.ndarray, medoids: np.ndarray) -> float:
     return float(matrix[:, medoids].min(axis=1).sum())
 
 
-def fit_kmedoids(
-    matrix: np.ndarray,
-    k: int,
-    seed: int,
-    max_iter: int = DEFAULT_MAX_SWEEPS,
-) -> Clustering:
+def fit_kmedoids(matrix: np.ndarray, k: int, seed: int) -> Clustering:
     """Cluster the points of a symmetric distance matrix around ``k`` medoids.
 
     Initial medoids are drawn without replacement from a generator seeded
@@ -62,8 +57,6 @@ def fit_kmedoids(
         raise DataError("k must be >= 1")
     if k > n:
         raise DataError(f"k={k} exceeds point count {n}")
-    if max_iter < 1:
-        raise DataError("max_iter must be >= 1")
 
     rng = np.random.default_rng(seed)
     medoids = np.sort(rng.choice(n, size=k, replace=False))
@@ -74,7 +67,7 @@ def fit_kmedoids(
     rows = max(1, min(n, _BLOCK_CELLS // n))
     block = np.empty((rows, n))
     converged = False
-    for _ in range(max_iter):
+    for _ in range(DEFAULT_MAX_SWEEPS):
         improved = False
         medoids = np.sort(medoids)
         for slot in range(k):

@@ -7,13 +7,14 @@ trajectory distance aligns every stay with a three-position window of the
 other sequence, keeps the cheapest match, and averages the two directions
 so the result is symmetric.
 
-Every product use of the trajectory distance reads one encoding: a
-first-seen vocabulary of distinct codes with one row of code ids per
-patient, and per weight vector a table of code distances, the only place
+Every product use of the cohort reads one encoding: the distinct codes in
+rendering order with one row of code ids per patient, so ids rank
+renderings, and per weight vector a table of code distances, the only place
 ``code_distance`` runs apart from the :func:`trajectory_distance` reference.
-The cohort matrix, the tuner (one encoding per search, one table per trial)
-and the medoid profiles all read it.  The matrix adds window minima in the
-order :func:`trajectory_distance` does, so the two agree bit for bit.
+Pattern mining, the cohort matrix, the tuner (one encoding per search, one
+table per trial) and the medoid profiles all read it.  The matrix adds
+window minima in the order :func:`trajectory_distance` does, so the two
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -164,10 +165,10 @@ def _directed_sums(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.
 
 
 def _encode(sequences: Sequence[Sequence[StayCode]]) -> _Encoding:
-    """First-seen vocabulary of distinct codes and one row of code ids per sequence."""
-    vocab: dict[StayCode, int] = {}
-    rows = [[vocab.setdefault(c, len(vocab)) for c in codes] for codes in sequences]
-    return list(vocab), rows
+    """Distinct codes in rendering order, so ids rank renderings, and one id row per sequence."""
+    vocab = sorted({c for codes in sequences for c in codes}, key=StayCode.render)
+    ids = {c: i for i, c in enumerate(vocab)}
+    return vocab, [[ids[c] for c in codes] for codes in sequences]
 
 
 def _encode_cohort(patients: Sequence[PatientTrajectory]) -> _Encoding:

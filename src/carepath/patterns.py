@@ -1,7 +1,8 @@
 """Sequential pattern mining with prefix-projected search.
 
-Items are rendered stay codes, one per hospitalization, so a pattern is an
-ordered tuple of codes matched as a not-necessarily-contiguous subsequence.
+Items stand for stay codes, one per hospitalization: renderings, or the code
+ids of an encoded cohort, which rank as the renderings do.  A pattern is an
+ordered tuple of items matched as a not-necessarily-contiguous subsequence.
 Support counts the sequences that contain the pattern at least once.
 
 One mining pass also records which sequences contain each pattern; that
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import DataError
 
-Pattern = tuple[str, ...]
+Pattern = tuple  # of rendered codes, or of code ids
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ def _mine(seqs, max_len: int, min_support: int) -> list[tuple[Pattern, list[int]
         if len(prefix) == max_len:
             continue
         # project every item on its first occurrence after each start at once
-        narrowed: dict[str, list[tuple[int, int]]] = {}
+        narrowed: dict[object, list[tuple[int, int]]] = {}
         for seq_idx, start in projection:
             seq = seqs[seq_idx]
             seen = set()
@@ -162,7 +163,7 @@ class _Incidence:
         ]
 
 
-def _incidence(seqs: list[list[str]], max_len: int, min_support: int = 1) -> _Incidence:
+def _incidence(seqs: Sequence[Sequence], max_len: int, min_support: int = 1) -> _Incidence:
     """Mine ``seqs`` once, keeping the ids of the sequences holding each pattern."""
     found = _mine(seqs, max_len, min_support)
     counts = np.array([len(ids) for _, ids in found], dtype=np.intp)

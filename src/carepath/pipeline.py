@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
+from .codes import StayCode
 from .dataio import load_dataset, write_covariates_csv, write_csv, write_trajectories_csv
 from .errors import DataError, NumericError
 from .kmedoids import Clustering, fit_kmedoids
@@ -33,7 +34,7 @@ from .metric import (
     save_matrix_binary,
     save_matrix_csv,
 )
-from .patterns import MiningConfig, _check_db, _incidence, render_pattern
+from .patterns import MiningConfig, _incidence, render_pattern
 from .survival import (
     SurvivalRecord,
     c_index,
@@ -290,8 +291,9 @@ class ClusterMetrics:
 
 @dataclass
 class RunResult:
-    """A run's results and, while the steps of ``_STEPS`` run, its state.  The
-    private fields are for later steps; the matrix is dropped after clustering."""
+    """A run's results and, while the steps of ``_STEPS`` run, its state.  The private
+    fields are for later steps; ``_codes`` and ``_rows`` are the run's one encoding
+    of the cohort, and the matrix is dropped after clustering."""
 
     config: PipelineConfig
     out_dir: Path
@@ -302,8 +304,8 @@ class RunResult:
     records: list[SurvivalRecord] = field(default_factory=list)
     clustering: Clustering | None = None
     metrics: list[ClusterMetrics] = field(default_factory=list)
-    _db: list[list[str]] = field(default_factory=list, repr=False)
-    _rows: list[np.ndarray] = field(default_factory=list, repr=False)
+    _codes: list[StayCode] = field(default_factory=list, repr=False)
+    _rows: list[list[int]] = field(default_factory=list, repr=False)
     _table: np.ndarray | None = field(default=None, repr=False)
     _matrix: np.ndarray | None = field(default=None, repr=False)
     _members: list[np.ndarray] = field(default_factory=list, repr=False)
@@ -355,34 +357,35 @@ def write_frequency_csv(path: Path, table: FrequencyTable) -> None:
 
 
 def _pattern_report_rows(
-    db: Sequence[Sequence[str]], labels: np.ndarray, k: int, cfg: PipelineConfig
+    codes: list[StayCode], rows: list[list[int]], labels: np.ndarray, k: int, cfg: PipelineConfig
 ) -> list[list]:
     """``patterns.csv`` rows: the top patterns of each length in the whole
-    cohort, then in each of the ``k`` clusters, all from one mining pass."""
+    cohort, then in each of the ``k`` clusters, all from one mining pass over
+    the id ``rows``; ids rank ``codes``' renderings, so patterns rank alike."""
     # a pattern below min_support in the cohort is below it in every cluster
-    incidence = _incidence(_check_db(db), cfg.mining_max_len, cfg.min_support)
+    incidence = _incidence(rows, cfg.mining_max_len, cfg.min_support)
     scopes = ["all"] + [f"cluster_{cid}" for cid in range(k)]
-    sizes = [len(db)] + np.bincount(labels, minlength=k).tolist()
+    sizes = [len(rows)] + np.bincount(labels, minlength=k).tolist()
     supports = np.column_stack([incidence.counts, incidence.supports(labels, k)])
     tops = [
         incidence.top(supports, length, cfg.top_k, floor=cfg.min_support)
         for length in range(1, cfg.mining_max_len + 1)
     ]
-    rows = []
+    out = []
     for g, scope in enumerate(scopes):
         for length, top in enumerate(tops, start=1):
             for rank, (pid, count) in enumerate(top[g], start=1):
-                rows.append(
+                out.append(
                     [
                         scope,
                         length,
                         rank,
                         count,
                         f"{count / sizes[g]:.6f}",
-                        render_pattern(incidence.patterns[pid]),
+                        render_pattern([codes[i] for i in incidence.patterns[pid]]),
                     ]
                 )
-    return rows
+    return out
 
 
 def _split_indices(m: int, test_size: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -409,14 +412,13 @@ def _data(run: RunResult) -> None:
         write_trajectories_csv(paths[0], trajectories)
         write_covariates_csv(paths[1], records)
     run.trajectories, run.records = load_dataset(*paths)
-    run._db = [t.renderings() for t in run.trajectories]
+    run._codes, run._rows = _encode_cohort(run.trajectories)
 
 
 def _tuning(run: RunResult) -> None:
     if run.tuned:
         best, log = tune_search(
             run.trajectories,
-            run._db,
             budget=run.config.tune_budget,
             seed=_derived_seed(run.config.seed, 4),
             score_cfg=ScoreConfig(top_per_length=run.config.top_k),
@@ -426,8 +428,7 @@ def _tuning(run: RunResult) -> None:
 
 
 def _distance(run: RunResult) -> None:
-    reps, run._rows = _encode_cohort(run.trajectories)
-    run._table = _code_table(reps, run.weights)
+    run._table = _code_table(run._codes, run.weights)
     run._matrix = _matrix(run._table, run._rows)
     patient_ids = [t.patient_id for t in run.trajectories]
     save_matrix_csv(run.out_dir / "distance_matrix.csv", run._matrix, patient_ids)
@@ -446,7 +447,7 @@ def _patterns(run: RunResult) -> None:
     write_csv(
         run.out_dir / "patterns.csv",
         ("scope", "length", "rank", "count", "frequency", "pattern"),
-        _pattern_report_rows(run._db, run.clustering.assignment, run.k, run.config),
+        _pattern_report_rows(run._codes, run._rows, run.clustering.assignment, run.k, run.config),
     )
 
 

@@ -370,7 +370,11 @@ def cox_fit(
         improved = False
         for _ in range(45):
             cand = beta + step * delta
-            ll_new, grad_new, hess_new, steps_new = _breslow_sweep(rs, cand)
+            # where exp(eta) overflows, or underflows over a whole risk set, the
+            # likelihood is -inf, nan or +inf; the test below decides, unwarned
+            # (the first two fail it, +inf passes it)
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                ll_new, grad_new, hess_new, steps_new = _breslow_sweep(rs, cand)
             if ll_new >= ll - 1e-12:
                 improved = True
                 break

@@ -12,8 +12,8 @@ sequences that contain it (the id-lists of SPADE, Zaki, Machine Learning
 2001).  One ``np.bincount`` over those (pattern, sequence) pairs then gives
 every pattern's support in every cluster, and the id count over the cohort
 size gives its whole-dataset frequency, both from exact integer counts.
-``cluster_score`` mines once per call; ``tune_search`` mines and encodes the
-cohort once per search and builds only a code table in each trial.
+``cluster_score`` mines once per call; ``tune_search`` encodes the cohort and
+mines its code-id rows once per search, and builds only a code table per trial.
 
 The search samples component weights and the cluster count uniformly at
 random under the ordering constraint, re-clusters, and keeps the
@@ -133,21 +133,17 @@ def sample_cluster_count(rng: np.random.Generator) -> int:
 
 def tune_search(
     patients: Sequence[PatientTrajectory],
-    db: Sequence[Sequence[str]],
     budget: int,
     seed: int,
     score_cfg: ScoreConfig = ScoreConfig(),
 ) -> tuple[TrialRecord, list[TrialRecord]]:
     """Random search over weights and cluster count; returns (best, full log).
 
-    ``db`` must align with ``patients`` index by index.  The cohort needs
-    at least ``K_MAX`` patients, so that every sampled cluster count fits.
-    Ties on the score go to the earliest trial.
+    The cohort needs at least ``K_MAX`` patients, so that every sampled
+    cluster count fits.  Ties on the score go to the earliest trial.
     """
     if budget < 1:
         raise DataError("budget must be >= 1")
-    if len(db) != len(patients):
-        raise DataError("db and patients must align")
     if len(patients) < K_MAX:
         raise DataError(
             f"tuning samples up to k={K_MAX} clusters and needs at least "
@@ -155,7 +151,7 @@ def tune_search(
         )
     # the cohort is the same in every trial, so it is encoded and mined once
     reps, rows = _encode_cohort(patients)
-    incidence = _incidence(_check_db(db), max(score_cfg.lengths))
+    incidence = _incidence(rows, max(score_cfg.lengths))
     log: list[TrialRecord] = []
     for trial in range(budget):
         rng = np.random.default_rng([seed, trial])

@@ -158,8 +158,7 @@ def test_criterion_05_clustering_descends_and_recovers():
     started = time.perf_counter()
 
     trajectories, _, _ = generate_cohort(200, seed=0)
-    db = [list(t.renderings()) for t in trajectories]
-    _, log = tune_search(trajectories, db, budget=5, seed=0)
+    _, log = tune_search(trajectories, budget=5, seed=0)
     assert len(log) == 5
     for rec in log:
         assert all(b < a for a, b in zip(rec.td_history, rec.td_history[1:]))

@@ -21,6 +21,7 @@ from carepath.metric import (
     save_matrix_csv,
     trajectory_distance,
 )
+from carepath.patterns import _incidence
 
 WEIGHTS = MetricWeights(85, 75, 55, 40)
 
@@ -197,11 +198,11 @@ _weights = st.lists(st.integers(0, 100), min_size=4, max_size=4).map(
 
 
 @st.composite
-def _cohorts(draw, lengths=st.integers(1, 6), sizes=st.integers(1, 12)):
+def _cohorts(draw, lengths=st.integers(1, 6), sizes=st.integers(1, 12), alphabet=_codes):
     cohort = []
     for index in range(draw(sizes)):
         length = draw(lengths)
-        codes = draw(st.lists(_codes, min_size=length, max_size=length))
+        codes = draw(st.lists(alphabet, min_size=length, max_size=length))
         if draw(st.booleans()):
             codes = codes[:-1] + [DEATH]  # a terminal death, or death alone
         cohort.append(PatientTrajectory(f"P{index}", tuple(codes)))
@@ -248,6 +249,32 @@ class TestDistanceMatrixProperties:
     @given(_cohorts(sizes=st.just(1)), _weights, _block_cells)
     def test_single_patient(self, cohort, weights, cells):
         _assert_matches_pairwise(cohort, weights, cells)
+
+
+# categories that start with a digit or a letter, and both kinds of severity,
+# so that first-seen order and rendering order disagree
+_mixed_codes = st.builds(
+    StayCode,
+    category=st.sampled_from(["05", "0A", "A5", "AB", "Z0"]),
+    care_type=st.sampled_from(["C", "M", "0"]),
+    counter=st.sampled_from(["09", "A0"]),
+    severity=st.sampled_from(["1", "A", "_"]),
+)
+
+
+class TestEncodingOrder:
+    """Code ids rank renderings, so mining the id rows is mining the renderings."""
+
+    @settings(deadline=None, database=None)
+    @given(_cohorts(sizes=st.integers(1, 20), alphabet=_mixed_codes), st.integers(1, 4))
+    def test_mining_ids_is_mining_renderings(self, cohort, max_len):
+        codes, rows = metric._encode([t.codes for t in cohort])
+        assert [c.render() for c in codes] == sorted(c.render() for c in set(codes))
+        by_id = _incidence(rows, max_len)
+        by_text = _incidence([t.renderings() for t in cohort], max_len)
+        assert [tuple(codes[i].render() for i in p) for p in by_id.patterns] == by_text.patterns
+        for name in ("lengths", "counts", "pid", "sid"):
+            assert np.array_equal(getattr(by_id, name), getattr(by_text, name))
 
 
 class TestMatrixSerialization:

@@ -195,7 +195,9 @@ class TestPatternReport:
         want = helpers.oracle_pattern_report_rows(
             db, labels, k, cfg.min_support, cfg.mining_max_len, cfg.top_k
         )
-        assert _pattern_report_rows(db, labels, k, cfg) == want
+        codes = sorted({item for seq in db for item in seq})
+        rows = [[codes.index(item) for item in seq] for seq in db]
+        assert _pattern_report_rows(codes, rows, labels, k, cfg) == want
 
 
 class TestSplitIndices:

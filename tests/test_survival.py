@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -292,6 +294,28 @@ class TestCox:
         records = make_records(times, events)
         with pytest.raises(SeparationError):
             cox_fit(records, covariates=x)
+
+    @pytest.mark.parametrize(
+        "times, events, x",
+        [
+            # a candidate's exp(eta) overflows: its risk-set means are inf / inf
+            ([1, 2, 10, 10], [1, 1, 0, 0], [[9, 1], [3, 18], [19, 19], [0, 18]]),
+            # a candidate's exp(eta) underflows over a whole risk set: log(0)
+            (
+                [3, 2, 3, 3, 2],
+                [1, 1, 0, 0, 0],
+                [[1945, 2, 0, 0, 20], [1945, 2, 0, 1, 20], [1948, 2, 4, 0, 33],
+                 [1945, 1, 4, 0, 33], [1945, 1, 4, 0, 33]],
+            ),
+        ],
+        ids=["overflow", "underflow"],
+    )
+    def test_runaway_fit_through_non_finite_candidates_does_not_warn(self, times, events, x):
+        # the fit still runs away, and numpy warns about none of it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SeparationError):
+                cox_fit(make_records(times, events), covariates=np.array(x, dtype=float))
 
     def test_duplicated_covariates_detected(self):
         rng = np.random.default_rng(2)

@@ -147,7 +147,7 @@ class TestTuneSearch:
     def test_trials_match_a_loop_over_the_oracle(self, cohort, score_cfg):
         patients, db = cohort
         seed, budget = 13, 4
-        _, log = tune_search(patients, db, budget=budget, seed=seed, score_cfg=score_cfg)
+        _, log = tune_search(patients, budget=budget, seed=seed, score_cfg=score_cfg)
         for trial, rec in zip(range(budget), log, strict=True):
             rng = np.random.default_rng([seed, trial])
             weights = sample_weights(rng)
@@ -161,9 +161,9 @@ class TestTuneSearch:
             assert rec.score == score and repr(rec.score) == repr(score)
 
     def test_deterministic_per_seed(self, cohort):
-        patients, db = cohort
-        best_a, log_a = tune_search(patients, db, budget=3, seed=5)
-        best_b, log_b = tune_search(patients, db, budget=3, seed=5)
+        patients, _ = cohort
+        best_a, log_a = tune_search(patients, budget=3, seed=5)
+        best_b, log_b = tune_search(patients, budget=3, seed=5)
         for a, b in zip(log_a, log_b):
             assert a.weights == b.weights
             assert a.k == b.k
@@ -173,44 +173,42 @@ class TestTuneSearch:
         assert best_a.trial_index == best_b.trial_index
 
     def test_best_is_earliest_maximum(self, cohort):
-        patients, db = cohort
-        best, log = tune_search(patients, db, budget=4, seed=9)
+        patients, _ = cohort
+        best, log = tune_search(patients, budget=4, seed=9)
         top = max(r.score for r in log)
         assert best.score == top
         assert best.trial_index == min(r.trial_index for r in log if r.score == top)
 
     def test_each_trial_descends(self, cohort):
-        patients, db = cohort
-        _, log = tune_search(patients, db, budget=3, seed=2)
+        patients, _ = cohort
+        _, log = tune_search(patients, budget=3, seed=2)
         for rec in log:
             assert all(b < a for a, b in zip(rec.td_history, rec.td_history[1:]))
 
     def test_budget_validation(self, cohort):
-        patients, db = cohort
+        patients, _ = cohort
         with pytest.raises(DataError):
-            tune_search(patients, db, budget=0, seed=0)
-        with pytest.raises(DataError):
-            tune_search(patients, db[:-1], budget=1, seed=0)
+            tune_search(patients, budget=0, seed=0)
 
     def test_duplicate_patient_ids_rejected(self, cohort):
-        patients, db = cohort
+        patients, _ = cohort
         twin = PatientTrajectory(patients[0].patient_id, patients[1].codes)
         with pytest.raises(DataError, match="duplicate patient ids"):
-            tune_search([*patients[:-1], twin], db, budget=1, seed=0)
+            tune_search([*patients[:-1], twin], budget=1, seed=0)
 
     def test_cohort_smaller_than_k_max_rejected_up_front(self, cohort):
-        patients, db = cohort
+        patients, _ = cohort
         small = K_MAX - 8
         # every seed fails the same way, before any trial is drawn
         for seed in range(5):
             with pytest.raises(DataError, match=f"at least {K_MAX} patients, got {small}"):
-                tune_search(patients[:small], db[:small], budget=4, seed=seed)
-        _, log = tune_search(patients[:K_MAX], db[:K_MAX], budget=2, seed=0)
+                tune_search(patients[:small], budget=4, seed=seed)
+        _, log = tune_search(patients[:K_MAX], budget=2, seed=0)
         assert len(log) == 2
 
     def test_trial_log_round_trip(self, cohort, tmp_path):
-        patients, db = cohort
-        _, log = tune_search(patients, db, budget=2, seed=3)
+        patients, _ = cohort
+        _, log = tune_search(patients, budget=2, seed=3)
         path = tmp_path / "trials.csv"
         write_trial_log(path, log)
         with open(path, newline="") as fh:
