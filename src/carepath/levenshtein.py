@@ -1,4 +1,9 @@
-"""Levenshtein edit distance and its length-normalized ratio."""
+"""Levenshtein edit distance and its length-normalized ratio.
+
+Reference code: :func:`carepath.metric.code_distance` reads the ratio, and
+the product's code table counts differing characters instead, which is the
+same for the equal-length one- and two-character components it compares.
+"""
 
 
 def levenshtein(a: str, b: str) -> int:

@@ -9,12 +9,15 @@ so the result is symmetric.
 
 Every product use of the cohort reads one encoding: the distinct codes in
 rendering order with one row of code ids per patient, so ids rank
-renderings, and per weight vector a table of code distances, the only place
-``code_distance`` runs apart from the :func:`trajectory_distance` reference.
-Pattern mining, the cohort matrix, the tuner (one encoding per search, one
-table per trial) and the medoid profiles all read it.  The matrix adds
-window minima in the order :func:`trajectory_distance` does, so the two
-agree bit for bit.
+renderings, and per weight vector a table of code distances.  Pattern
+mining, the cohort matrix, the tuner (one encoding per search, one table per
+trial) and the medoid profiles all read it.  The table is built from the
+codes' characters in whole-array passes, and the matrix one window position
+at a time over column blocks, with no Python loop over pairs of codes or of
+trajectories; both give :func:`code_distance` and
+:func:`trajectory_distance` bit for bit.  Those two functions, and
+:mod:`carepath.levenshtein` under them, are reference code that no product
+path calls.
 """
 
 from __future__ import annotations
@@ -104,7 +107,8 @@ def code_distance(a: StayCode, b: StayCode, weights: MetricWeights) -> float:
     """Weighted component-wise distance between two codes.
 
     Death matches death at distance zero and sits at the full weight total
-    from every real code.
+    from every real code.  This is the reference that :func:`_code_table`
+    equals; no product path calls it.
     """
     if a.is_death or b.is_death:
         return 0.0 if a.is_death == b.is_death else float(weights.total)
@@ -144,26 +148,6 @@ def trajectory_distance(
     )
 
 
-def _directed_sums(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``out[a, b]`` is the directed windowed sum from ``rows[a]`` to ``cols[b]``.
-
-    ``rows`` and ``cols`` hold code ids of equal-length trajectories, one
-    per row.  Positions are added one at a time in sequence order, as
-    :func:`_directed_sum` does, so every entry is bit-for-bit the same.
-    """
-    last = cols.shape[1] - 1
-    total = np.zeros((rows.shape[0], cols.shape[0]))
-    for i in range(rows.shape[1]):
-        dist = table[rows[:, i]]
-        lo = min(max(i - 1, 0), last)
-        hi = min(i + 1, last)
-        best = dist[:, cols[:, lo]]
-        for j in range(lo + 1, hi + 1):
-            np.minimum(best, dist[:, cols[:, j]], out=best)
-        total += best
-    return total
-
-
 def _encode(sequences: Sequence[Sequence[StayCode]]) -> _Encoding:
     """Distinct codes in rendering order, so ids rank renderings, and one id row per sequence."""
     vocab = sorted({c for codes in sequences for c in codes}, key=StayCode.render)
@@ -181,47 +165,76 @@ def _encode_cohort(patients: Sequence[PatientTrajectory]) -> _Encoding:
 
 
 def _code_table(reps: Sequence[StayCode], weights: MetricWeights) -> np.ndarray:
-    """``table[i, j]`` is the code distance between ``reps[i]`` and ``reps[j]``."""
-    u = len(reps)
-    table = np.zeros((u, u))
-    for i in range(u):
-        for j in range(i + 1, u):
-            table[i, j] = table[j, i] = code_distance(reps[i], reps[j], weights)
+    """``table[i, j]`` is the code distance between ``reps[i]`` and ``reps[j]``.
+
+    Built from a V x 6 array of the codes' characters, bit for bit equal to
+    :func:`code_distance`.  Every real component has width 1 or 2, and for
+    two equal-length strings that short Levenshtein distance is the number
+    of differing characters, so each ratio is ``mismatches / width``; the
+    weighted ratios are added in ``code_distance``'s order.  Death rows and
+    columns then take the weight total, and death against death is zero.
+    """
+    text = "".join(c.render().ljust(6) for c in reps).encode("ascii")
+    chars = np.frombuffer(text, np.uint8).reshape(len(reps), 6)
+
+    def ratio(*cols: int) -> np.ndarray:
+        return sum(chars[:, None, k] != chars[None, :, k] for k in cols) / len(cols)
+
+    table = (
+        weights.category * ratio(0, 1)
+        + weights.care_type * ratio(2)
+        + weights.counter * ratio(3, 4)
+        + weights.severity * ratio(5)
+    )
+    death = np.array([c.is_death for c in reps], dtype=bool)
+    table[death] = table[:, death] = float(weights.total)
+    table[np.ix_(death, death)] = 0.0
     return table
 
 
 def _matrix(table: np.ndarray, rows: Sequence[Sequence[int]]) -> np.ndarray:
     """Pairwise trajectory distances of the code-id ``rows`` over ``table``.
 
-    Each pair of length buckets is scored with one gather on ``table`` per
-    window position, in row chunks that bound every temporary by a fixed
-    cell count (or one chunk's rows of the table), whatever the cohort size.
+    The rows are padded to the longest length with a sentinel id whose table
+    row is all ``+0.0``.  For each window position ``i`` and block of
+    columns ``b``, ``best[x, b]`` is the minimum of ``table[x]`` over the
+    three clamped window ids of row ``b`` at ``i``, and ``out[a, b]`` gains
+    ``best[rows[a][i], b]``.  That is :func:`trajectory_distance` bit for
+    bit: the minimum only selects a table value, positions are added in
+    sequence order, a padded position adds exactly ``+0.0``, and the
+    symmetrising ``0.5 * (d[a, b] + d[b, a])`` does not depend on the order
+    of the two terms.  Every temporary holds at most ``_BLOCK_CELLS`` cells,
+    or one table column or output row where that is longer, and the output
+    is the only n x n array.
     """
-    buckets: dict[int, list[int]] = {}
-    for index, row in enumerate(rows):
-        buckets.setdefault(len(row), []).append(index)
-    groups = [
-        (np.array(members), np.array([rows[i] for i in members], dtype=np.intp))
-        for members in buckets.values()
-    ]
+    n, vocab = len(rows), len(table)
+    lengths = np.array([len(row) for row in rows])
+    width = int(lengths.max())
+    # ids[i, a] is rows[a][i], or the sentinel id past the end of rows[a]
+    ids = np.full((width, n), vocab, dtype=np.intp)
+    ids.T[np.arange(width) < lengths[:, None]] = [c for row in rows for c in row]
+    # windows[j, i, b] is the id at position i + j - 1 of rows[b], clamped
+    positions = np.arange(width)[:, None] + np.arange(-1, 2)[:, None, None]
+    windows = np.take_along_axis(ids[None], np.clip(positions, 0, lengths - 1), axis=1)
+    padded = np.vstack([table, np.zeros((1, vocab))])
 
-    n = len(rows)
     out = np.zeros((n, n))
-    for g, (idx_a, codes_a) in enumerate(groups):
-        for idx_b, codes_b in groups[g:]:
-            # rows of the first bucket go in chunks that bound every
-            # temporary; within one bucket a chunk pairs only with itself
-            # and the rows after it, so no two chunks are scored twice
-            same = idx_b is idx_a
-            step = max(1, _BLOCK_CELLS // len(idx_b))
-            for start in range(0, len(idx_a), step):
-                chunk = slice(start, start + step)
-                rest = slice(start if same else 0, None)
-                ab = _directed_sums(table, codes_a[chunk], codes_b[rest])
-                ba = _directed_sums(table, codes_b[rest], codes_a[chunk])
-                block = 0.5 * (ab + ba.T)
-                out[np.ix_(idx_a[chunk], idx_b[rest])] = block
-                out[np.ix_(idx_b[rest], idx_a[chunk])] = block.T
+    cols = max(1, min(n, _BLOCK_CELLS // (vocab + 1)))
+    chunk = max(1, _BLOCK_CELLS // cols)
+    for c0 in range(0, n, cols):
+        block = slice(c0, c0 + cols)
+        for i in range(width):
+            best = padded[:, windows[0, i, block]]
+            for j in (1, 2):
+                np.minimum(best, padded[:, windows[j, i, block]], out=best)
+            for r0 in range(0, n, chunk):
+                out[r0 : r0 + chunk, block] += best[ids[i, r0 : r0 + chunk]]
+    step = max(1, _BLOCK_CELLS // n)
+    for r0 in range(0, n, step):
+        upper = out[r0 : r0 + step, r0:] + out[r0:, r0 : r0 + step].T
+        upper *= 0.5
+        out[r0 : r0 + step, r0:] = upper
+        out[r0:, r0 : r0 + step] = upper.T
     return out
 
 

@@ -1,5 +1,6 @@
 import csv
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ import helpers
 from carepath import metric
 from carepath.codes import DEATH, StayCode, parse_code
 from carepath.errors import DataError
-from carepath.kmedoids import fit_kmedoids
+from carepath.kmedoids import fit_kmedoids, medoid_profile
 from carepath.metric import (
     MetricWeights,
     PatientTrajectory,
@@ -22,6 +23,8 @@ from carepath.metric import (
     trajectory_distance,
 )
 from carepath.patterns import _incidence
+from carepath.pipeline import PipelineConfig, run_pipeline
+from carepath.synthetic import generate_cohort
 
 WEIGHTS = MetricWeights(85, 75, 55, 40)
 
@@ -215,8 +218,36 @@ def _uniform_cohorts(draw):
     return draw(_cohorts(lengths=st.just(length)))
 
 
-# temporary sizes for the matrix pass: one-row chunks, chunk edges inside a
-# bucket, and the default where every bucket pair is one chunk
+@st.composite
+def _cohorts_with_a_long_one(draw):
+    """Short trajectories and one of 12 to 16 stays, so most rows are padded."""
+    cohort = draw(_cohorts(lengths=st.integers(1, 3), sizes=st.integers(1, 8)))
+    long = PatientTrajectory("L", tuple(draw(st.lists(_codes, min_size=12, max_size=16))))
+    cohort.insert(draw(st.integers(0, len(cohort))), long)
+    return cohort
+
+
+# a wide alphabet, so that a cohort's vocabulary outgrows a small temporary
+_wide_codes = st.builds(
+    StayCode,
+    category=st.sampled_from([f"{i:02d}" for i in range(28)]),
+    care_type=st.sampled_from(list(helpers.CARE_TYPES)),
+    counter=st.sampled_from([f"{i:02d}" for i in range(40)]),
+    severity=st.sampled_from(list(helpers.SEVERITIES)),
+)
+
+
+@st.composite
+def _wide_cohorts(draw):
+    """Cohorts of at least eight distinct codes: one patient holds them all."""
+    vocab = draw(st.lists(_wide_codes, min_size=8, max_size=30, unique=True))
+    cohort = draw(_cohorts(sizes=st.integers(1, 10), alphabet=st.sampled_from(vocab)))
+    return cohort + [PatientTrajectory("V", tuple(vocab))]
+
+
+# temporary sizes for the matrix pass: one-cell chunks and one-column
+# blocks, chunk edges inside the cohort, and the default where a small
+# cohort is one block
 _block_cells = st.sampled_from([1, 7, metric._BLOCK_CELLS])
 
 
@@ -249,6 +280,76 @@ class TestDistanceMatrixProperties:
     @given(_cohorts(sizes=st.just(1)), _weights, _block_cells)
     def test_single_patient(self, cohort, weights, cells):
         _assert_matches_pairwise(cohort, weights, cells)
+
+    @settings(deadline=None, database=None)
+    @given(_cohorts_with_a_long_one(), _weights, _block_cells)
+    def test_one_long_trajectory_among_short_ones(self, cohort, weights, cells):
+        _assert_matches_pairwise(cohort, weights, cells)
+
+    @settings(deadline=None, database=None)
+    @given(_wide_cohorts(), _weights, _block_cells)
+    def test_vocabulary_wider_than_a_block(self, cohort, weights, cells):
+        vocab, _ = metric._encode([t.codes for t in cohort])
+        assert len(vocab) + 1 > 7  # a block of 7 cells is one column wide
+        _assert_matches_pairwise(cohort, weights, cells)
+
+    def test_temporaries_stay_within_the_block_bound(self):
+        # the output is the only n x n array; an unbounded temporary of the
+        # cohort's size would overrun the allowance of eight blocks
+        cohort = generate_cohort(n_patients=600, seed=3)[0]
+        codes, rows = metric._encode_cohort(cohort)
+        table = metric._code_table(codes, WEIGHTS)
+        tracemalloc.start()
+        try:
+            metric._matrix(table, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= len(rows) ** 2 * 8 + 8 * metric._BLOCK_CELLS * 8
+
+
+# components that tie, differ in one character or are swapped ("AB" against
+# "BA", Levenshtein 2), both kinds of severity, and the death marker
+_table_codes = st.one_of(
+    st.just(DEATH),
+    st.builds(
+        StayCode,
+        category=st.sampled_from(["AB", "BA", "AA", "A0", "0A", "05", "50"]),
+        care_type=st.sampled_from(list(helpers.CARE_TYPES)),
+        counter=st.sampled_from(["09", "90", "05", "AB", "BA"]),
+        severity=st.sampled_from(list(helpers.SEVERITIES)),
+    ),
+)
+_table_weights = st.lists(
+    st.one_of(st.sampled_from([0, 100]), st.integers(0, 100)), min_size=4, max_size=4
+).map(lambda w: MetricWeights(*sorted(w, reverse=True)))
+
+
+class TestCodeTable:
+    @settings(deadline=None, database=None)
+    @given(st.lists(_table_codes, min_size=1, max_size=60, unique=True), _table_weights)
+    def test_matches_a_loop_over_the_oracle(self, codes, weights):
+        want = np.array(
+            [[helpers.oracle_code_distance(a, b, weights) for b in codes] for a in codes]
+        )
+        got = metric._code_table(codes, weights)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestNoPerPairCodeDistance:
+    """The product builds code tables from arrays, never one pair at a time."""
+
+    def test_tuned_run_and_medoid_profile(self, tmp_path):
+        a, b = _traj("A", "05M092", "04M052"), _traj("B", "05M091", "Death")
+        want = helpers.oracle_medoid_profile(a, b, WEIGHTS)
+        with mock.patch.object(metric, "code_distance", side_effect=AssertionError):
+            run_pipeline(
+                PipelineConfig(
+                    seed=2, out_dir=str(tmp_path / "run"), synth_patients=40,
+                    tune_budget=2, trees=4,
+                )
+            )
+            assert medoid_profile(a, b, WEIGHTS) == want
 
 
 # categories that start with a digit or a letter, and both kinds of severity,
