@@ -170,22 +170,24 @@ def _code_table(reps: Sequence[StayCode], weights: MetricWeights) -> np.ndarray:
     Built from a V x 6 array of the codes' characters, bit for bit equal to
     :func:`code_distance`.  Every real component has width 1 or 2, and for
     two equal-length strings that short Levenshtein distance is the number
-    of differing characters, so each ratio is ``mismatches / width``; the
-    weighted ratios are added in ``code_distance``'s order.  Death rows and
-    columns then take the weight total, and death against death is zero.
+    of differing characters, so each ratio is ``mismatches / width``.  The
+    weighted ratios are added into one array in ``code_distance``'s order,
+    cell by cell where the ratio is not zero: adding ``+0.0`` to a
+    non-negative sum leaves its bits alone.  Death rows and columns then
+    take the weight total, and death against death is zero.  Besides the
+    table, the pass holds a byte per cell for the mismatch counts and one
+    for a mask.
     """
     text = "".join(c.render().ljust(6) for c in reps).encode("ascii")
     chars = np.frombuffer(text, np.uint8).reshape(len(reps), 6)
-
-    def ratio(*cols: int) -> np.ndarray:
-        return sum(chars[:, None, k] != chars[None, :, k] for k in cols) / len(cols)
-
-    table = (
-        weights.category * ratio(0, 1)
-        + weights.care_type * ratio(2)
-        + weights.counter * ratio(3, 4)
-        + weights.severity * ratio(5)
-    )
+    table = np.zeros((len(reps), len(reps)))
+    # category, care type, counter and severity, in code_distance's order
+    for weight, cols in zip(weights.as_tuple(), ((0, 1), (2,), (3, 4), (5,))):
+        mismatches = np.zeros(table.shape, np.uint8)
+        for k in cols:
+            mismatches += chars[:, None, k] != chars[None, :, k]
+        for m in range(1, len(cols) + 1):
+            np.add(table, weight * (m / len(cols)), out=table, where=mismatches == m)
     death = np.array([c.is_death for c in reps], dtype=bool)
     table[death] = table[:, death] = float(weights.total)
     table[np.ix_(death, death)] = 0.0
@@ -195,40 +197,41 @@ def _code_table(reps: Sequence[StayCode], weights: MetricWeights) -> np.ndarray:
 def _matrix(table: np.ndarray, rows: Sequence[Sequence[int]]) -> np.ndarray:
     """Pairwise trajectory distances of the code-id ``rows`` over ``table``.
 
-    The rows are padded to the longest length with a sentinel id whose table
-    row is all ``+0.0``.  For each window position ``i`` and block of
-    columns ``b``, ``best[x, b]`` is the minimum of ``table[x]`` over the
-    three clamped window ids of row ``b`` at ``i``, and ``out[a, b]`` gains
-    ``best[rows[a][i], b]``.  That is :func:`trajectory_distance` bit for
-    bit: the minimum only selects a table value, positions are added in
-    sequence order, a padded position adds exactly ``+0.0``, and the
+    For each window position ``i`` and block of columns ``b``,
+    ``best[x, b]`` is the minimum of ``table[x]`` over the three clamped
+    window ids of row ``b`` at ``i``, and every row ``a`` that reaches
+    position ``i`` gains ``best[rows[a][i], b]``, so the work follows the
+    sum of the lengths, not the longest one.  That is
+    :func:`trajectory_distance` bit for bit: the minimum only selects a
+    table value, positions are added in sequence order, and the
     symmetrising ``0.5 * (d[a, b] + d[b, a])`` does not depend on the order
-    of the two terms.  Every temporary holds at most ``_BLOCK_CELLS`` cells,
-    or one table column or output row where that is longer, and the output
-    is the only n x n array.
+    of the two terms.  Besides the output, the only n x n array, the pass
+    holds the ids of all rows end to end, five arrays of at most n ids per
+    position, and temporaries of at most ``_BLOCK_CELLS`` cells, or of one
+    table column or output row where the vocabulary or the cohort is
+    larger than that.
     """
     n, vocab = len(rows), len(table)
     lengths = np.array([len(row) for row in rows])
-    width = int(lengths.max())
-    # ids[i, a] is rows[a][i], or the sentinel id past the end of rows[a]
-    ids = np.full((width, n), vocab, dtype=np.intp)
-    ids.T[np.arange(width) < lengths[:, None]] = [c for row in rows for c in row]
-    # windows[j, i, b] is the id at position i + j - 1 of rows[b], clamped
-    positions = np.arange(width)[:, None] + np.arange(-1, 2)[:, None, None]
-    windows = np.take_along_axis(ids[None], np.clip(positions, 0, lengths - 1), axis=1)
-    padded = np.vstack([table, np.zeros((1, vocab))])
-
+    starts = np.cumsum(lengths) - lengths
+    ends = starts + lengths - 1
+    flat = np.fromiter((c for row in rows for c in row), np.intp, int(lengths.sum()))
     out = np.zeros((n, n))
-    cols = max(1, min(n, _BLOCK_CELLS // (vocab + 1)))
+    cols = max(1, min(n, _BLOCK_CELLS // vocab))
     chunk = max(1, _BLOCK_CELLS // cols)
-    for c0 in range(0, n, cols):
-        block = slice(c0, c0 + cols)
-        for i in range(width):
-            best = padded[:, windows[0, i, block]]
-            for j in (1, 2):
-                np.minimum(best, padded[:, windows[j, i, block]], out=best)
-            for r0 in range(0, n, chunk):
-                out[r0 : r0 + chunk, block] += best[ids[i, r0 : r0 + chunk]]
+    for i in range(int(lengths.max())):
+        # the rows that reach position i and their ids there, and every
+        # row's ids at positions i - 1, i and i + 1 clamped into the row
+        live = np.flatnonzero(lengths > i)
+        here = flat[starts[live] + i]
+        windows = [flat[np.minimum(starts + p, ends)] for p in (max(i - 1, 0), i, i + 1)]
+        for c0 in range(0, n, cols):
+            block = slice(c0, c0 + cols)
+            best = table[:, windows[0][block]]
+            for window in windows[1:]:
+                np.minimum(best, table[:, window[block]], out=best)
+            for r0 in range(0, len(live), chunk):
+                out[live[r0 : r0 + chunk], block] += best[here[r0 : r0 + chunk]]
     step = max(1, _BLOCK_CELLS // n)
     for r0 in range(0, n, step):
         upper = out[r0 : r0 + step, r0:] + out[r0:, r0 : r0 + step].T

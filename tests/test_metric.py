@@ -335,6 +335,21 @@ class TestCodeTable:
         got = metric._code_table(codes, weights)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    def test_peak_stays_near_one_table(self):
+        # 1000 distinct codes and Death: the pass may hold a byte or two per
+        # cell beside the float table, but no second table-sized float array
+        codes = [DEATH] + [
+            StayCode(f"{i % 25:02d}", "CKM"[i % 3], f"{i // 25:02d}", "1234_"[i % 5])
+            for i in range(1000)
+        ]
+        tracemalloc.start()
+        try:
+            table = metric._code_table(codes, WEIGHTS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * table.nbytes
+
 
 class TestNoPerPairCodeDistance:
     """The product builds code tables from arrays, never one pair at a time."""
