@@ -5,12 +5,13 @@ __version__ = "0.1.0"
 from .codes import DEATH, StayCode, parse_code
 from .errors import DataError, NumericError
 from .kmedoids import Clustering, fit_kmedoids, medoid_profile
-from .levenshtein import levenshtein, levenshtein_ratio
 from .metric import (
     MetricWeights,
     PatientTrajectory,
     code_distance,
     distance_matrix,
+    levenshtein,
+    levenshtein_ratio,
     trajectory_distance,
 )
 from .patterns import MinedPattern, MiningConfig, frequent_patterns, support

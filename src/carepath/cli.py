@@ -37,6 +37,8 @@ from .tuning import tune_search, write_trial_log
 USAGE_EXIT = 1
 DATA_EXIT = 2
 NUMERIC_EXIT = 3
+# the single-stage flags that mirror a run setting take its default from here
+_DEFAULTS = PipelineConfig()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,14 +73,14 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True, help="total patients")
     p.add_argument("--seed", type=_seed_flag, default=0)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--max-len", type=int, default=8)
-    p.add_argument("--horizon", type=float, default=1825.0)
+    p.add_argument("--max-len", type=int, default=_DEFAULTS.synth_max_len)
+    p.add_argument("--horizon", type=float, default=_DEFAULTS.horizon_days)
     p.add_argument("--no-anchor", action="store_true", help="skip the anchor first code")
 
     p = sub.add_parser("mine", help="mine frequent code patterns")
     p.add_argument("--trajectories", required=True)
-    p.add_argument("--min-support", type=int, default=2)
-    p.add_argument("--max-len", type=int, default=3)
+    p.add_argument("--min-support", type=int, default=_DEFAULTS.min_support)
+    p.add_argument("--max-len", type=int, default=_DEFAULTS.mining_max_len)
     p.add_argument("--top-k", type=int, default=None)
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
 
@@ -104,10 +106,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("survival", help="whole-cohort survival metrics")
     p.add_argument("--trajectories", required=True)
     p.add_argument("--covariates", required=True)
-    p.add_argument("--trees", type=int, default=100)
+    p.add_argument("--trees", type=int, default=_DEFAULTS.trees)
     p.add_argument("--mtry", type=int, default=None)
     p.add_argument("--seed", type=_seed_flag, default=0)
-    p.add_argument("--test-size", type=float, default=0.25)
+    p.add_argument("--test-size", type=float, default=_DEFAULTS.test_size)
 
     p = sub.add_parser("run", help="run the full pipeline")
     # dest is the PipelineConfig field each flag sets
@@ -127,7 +129,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("export-sankey", help="transition flows between stay positions")
     p.add_argument("--trajectories", required=True)
-    p.add_argument("--pairs", type=int, default=2, help="consecutive position pairs")
+    p.add_argument("--pairs", type=int, default=_DEFAULTS.sankey_pairs,
+                   help="consecutive position pairs")
     p.add_argument("--top-k", type=int, default=10)
     p.add_argument("--out", required=True)
 

@@ -20,11 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .metric import MetricWeights, PatientTrajectory, _code_table, _encode, _square
+from .metric import _BLOCK_CELLS, MetricWeights, PatientTrajectory, _code_table, _encode, _square
 
 DEFAULT_MAX_SWEEPS = 100
-# cells per candidate block of the swap screen, which bounds its working memory
-_BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)

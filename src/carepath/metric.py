@@ -16,8 +16,8 @@ codes' characters in whole-array passes, and the matrix one window position
 at a time over column blocks, with no Python loop over pairs of codes or of
 trajectories; both give :func:`code_distance` and
 :func:`trajectory_distance` bit for bit.  Those two functions, and
-:mod:`carepath.levenshtein` under them, are reference code that no product
-path calls.
+:func:`levenshtein` and :func:`levenshtein_ratio` under them, are reference
+code that no product path calls.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ import numpy as np
 
 from .codes import StayCode
 from .errors import DataError
-from .levenshtein import levenshtein_ratio
 
 MAX_WEIGHT = 100
-# cells per temporary of the matrix pass, which bounds its working memory
+# cells per block, which bounds the working memory of the matrix pass, the
+# matrix CSV writer and the PAM swap screen
 _BLOCK_CELLS = 1 << 14
 _Encoding = tuple[list[StayCode], list[list[int]]]
 
@@ -101,6 +101,41 @@ class PatientTrajectory:
 
     def renderings(self) -> tuple[str, ...]:
         return tuple(c.render() for c in self.codes)
+
+
+def levenshtein(a: str, b: str) -> int:
+    """Minimum number of single-character edits turning ``a`` into ``b``.
+
+    Insertions, deletions and substitutions each count as one edit.  The
+    distance is symmetric, zero exactly for equal strings, and never larger
+    than the longer string's length.
+    """
+    if a == b:
+        return 0
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cost = 0 if ca == cb else 1
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost))
+        prev = cur
+    return prev[-1]
+
+
+def levenshtein_ratio(a: str, b: str) -> float:
+    """Normalized distance ``levenshtein(a, b) / max(len(a), len(b))``.
+
+    Lies in [0, 1]; undefined (raises ``ValueError``) when both strings are
+    empty.
+    """
+    longest = max(len(a), len(b))
+    if longest == 0:
+        raise ValueError("ratio undefined for two empty strings")
+    return levenshtein(a, b) / longest
 
 
 def code_distance(a: StayCode, b: StayCode, weights: MetricWeights) -> float:

@@ -36,6 +36,7 @@ from .metric import (
 )
 from .patterns import MiningConfig, _incidence, render_pattern
 from .survival import (
+    DEFAULT_REFERENCE_YEAR,
     SurvivalRecord,
     c_index,
     covariate_matrix,
@@ -81,7 +82,7 @@ class PipelineConfig:
     mtry: int | None = None
     test_size: float = 0.25
     use_age: bool = False
-    reference_year: int = 2016
+    reference_year: int = DEFAULT_REFERENCE_YEAR
     positions: int = 10
     sankey_pairs: int = 2
 
@@ -574,7 +575,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
 def cohort_cox_aic(
     records: Sequence[SurvivalRecord],
     use_age: bool = False,
-    reference_year: int = 2016,
+    reference_year: int = DEFAULT_REFERENCE_YEAR,
 ) -> float | None:
     """AIC of a proportional-hazards fit on the non-constant covariates.
 
@@ -598,7 +599,7 @@ def holdout_rsf(
     seed: int,
     test_size: float = 0.25,
     use_age: bool = False,
-    reference_year: int = 2016,
+    reference_year: int = DEFAULT_REFERENCE_YEAR,
 ):
     """Forest on a seeded train split, concordance on the held-out rest.
 

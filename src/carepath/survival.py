@@ -51,7 +51,7 @@ DEFAULT_REFERENCE_YEAR = 2016
 SEPARATION_BOUND = 50.0
 DEFAULT_MIN_SAMPLES_SPLIT = 10
 DEFAULT_MIN_SAMPLES_LEAF = 15
-_N_COVARIATES = 5  # the columns of record_covariates
+_N_COVARIATES = 5  # the columns of covariate_matrix
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -92,16 +92,8 @@ class SurvivalRecord:
 
 
 def record_covariates(record: SurvivalRecord) -> np.ndarray:
-    return np.array(
-        [
-            record.birth_year,
-            record.sex,
-            record.n_hospitalizations,
-            record.shock_flag,
-            record.total_stay_days,
-        ],
-        dtype=float,
-    )
+    """The one-row case of :func:`covariate_matrix`."""
+    return covariate_matrix([record])[0]
 
 
 def covariate_matrix(
@@ -115,8 +107,13 @@ def covariate_matrix(
     ``reference_year - birth_year``.
     """
     # reshape keeps the five columns when there are no records
-    X = np.array([record_covariates(r) for r in records], dtype=float)
-    X = X.reshape(-1, _N_COVARIATES)
+    X = np.array(
+        [
+            (r.birth_year, r.sex, r.n_hospitalizations, r.shock_flag, r.total_stay_days)
+            for r in records
+        ],
+        dtype=float,
+    ).reshape(-1, _N_COVARIATES)
     if use_age:
         X[:, 0] = reference_year - X[:, 0]
     return X

@@ -16,12 +16,12 @@ import pytest
 import helpers
 from carepath.codes import parse_code
 from carepath.kmedoids import fit_kmedoids
-from carepath.levenshtein import levenshtein
 from carepath.metric import (
     MetricWeights,
     PatientTrajectory,
     code_distance,
     distance_matrix,
+    levenshtein,
     trajectory_distance,
 )
 from carepath.patterns import MiningConfig, frequent_patterns

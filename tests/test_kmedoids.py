@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import helpers
 from carepath.errors import DataError
+from carepath import kmedoids
 from carepath.kmedoids import fit_kmedoids, medoid_profile
 from carepath.metric import MetricWeights, PatientTrajectory, distance_matrix
 from carepath.codes import DEATH, StayCode, parse_code
@@ -134,6 +137,26 @@ def test_matches_plain_pam_oracle_with_duplicate_points():
             _assert_same_fit(
                 fit_kmedoids(m, k, seed=seed), helpers.oracle_fit_kmedoids(m, k, seed=seed)
             )
+
+
+# 500 cells give 9-row blocks at 52 points, the last one partial
+@pytest.mark.parametrize("cells", [1, 7, 500, kmedoids._BLOCK_CELLS])
+@pytest.mark.parametrize("cohort_seed", [3, 11])
+def test_matches_plain_pam_oracle_at_any_screen_block_size(cells, cohort_seed):
+    # 12 of the 40 trajectories appear twice, in shuffled order, so swaps
+    # tie at distance zero and a patched block size puts ties on block edges
+    trajectories, _, _ = generate_cohort(n_patients=40, seed=cohort_seed)
+    order = np.random.default_rng(cohort_seed).permutation(52) % 40
+    m = distance_matrix(
+        [PatientTrajectory(f"p{i}", trajectories[j].codes) for i, j in enumerate(order)],
+        WEIGHTS,
+    )
+    with mock.patch.object(kmedoids, "_BLOCK_CELLS", cells):
+        for k in (1, 3, 8):
+            for seed in range(3):
+                _assert_same_fit(
+                    fit_kmedoids(m, k, seed=seed), helpers.oracle_fit_kmedoids(m, k, seed=seed)
+                )
 
 
 def test_validation_errors():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from carepath.levenshtein import levenshtein, levenshtein_ratio
+from carepath.metric import levenshtein, levenshtein_ratio
 from helpers import oracle_levenshtein
 
 
