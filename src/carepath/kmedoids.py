@@ -7,10 +7,12 @@ swap ends the search.
 
 Candidates are screened in fixed-size blocks, one medoid slot at a time:
 with the distance to the nearest other medoid held fixed, one array
-operation gives the total distance of every candidate in the block.  Each
-block row is summed the same way as a full evaluation, so the screen is
-exact; its first hit is confirmed with a full evaluation before the swap is
-taken, and the scan goes on from there with the lowered total.
+operation gives the total distance of every candidate in the block.  The
+screen is C-ordered, so its row sums are the same pairwise sums as a full
+evaluation, and they are the totals.  An existing medoid scores at least
+``td``, the current total, so it is never taken; the fixed distances do not
+change when the slot swaps, so the rest of the block is scanned against
+the lowered ``td``.
 """
 
 from __future__ import annotations
@@ -38,10 +40,6 @@ class Clustering:
     seed: int
 
 
-def _total_distance(matrix: np.ndarray, medoids: np.ndarray) -> float:
-    return float(matrix[:, medoids].min(axis=1).sum())
-
-
 def fit_kmedoids(matrix: np.ndarray, k: int, seed: int) -> Clustering:
     """Cluster the points of a symmetric distance matrix around ``k`` medoids.
 
@@ -58,7 +56,7 @@ def fit_kmedoids(matrix: np.ndarray, k: int, seed: int) -> Clustering:
 
     rng = np.random.default_rng(seed)
     medoids = np.sort(rng.choice(n, size=k, replace=False))
-    td = _total_distance(m, medoids)
+    td = float(m[:, medoids].min(axis=1).sum())
     initial_total = td
     history: list[float] = []
 
@@ -67,36 +65,27 @@ def fit_kmedoids(matrix: np.ndarray, k: int, seed: int) -> Clustering:
     converged = False
     for _ in range(DEFAULT_MAX_SWEEPS):
         improved = False
-        medoids = np.sort(medoids)
+        medoids.sort()
         for slot in range(k):
             d_other = m[:, np.delete(medoids, slot)].min(axis=1, initial=np.inf)
-            current = set(medoids.tolist())
             for start in range(0, n, rows):
                 stop = min(start + rows, n)
                 screen = block[: stop - start]
                 # row c of the screen is the assignment cost with point
-                # start + c in this slot; each row sums contiguously, as
-                # _total_distance does, so the screen is exact
+                # start + c in this slot; the C-ordered block sums each row
+                # contiguously, as the initial total sums its row minima
                 np.minimum(d_other, m[:, start:stop].T, out=screen)
                 scores = screen.sum(axis=1)
                 for c in np.flatnonzero(scores < td).tolist():
-                    p = start + c
-                    if p in current or not scores[c] < td:
-                        continue
-                    candidate = medoids.copy()
-                    candidate[slot] = p
-                    cand_td = _total_distance(m, candidate)
-                    if cand_td < td:
-                        medoids = candidate
-                        td = cand_td
+                    if scores[c] < td:
+                        medoids[slot], td = start + c, float(scores[c])
                         history.append(td)
-                        current = set(medoids.tolist())
                         improved = True
         if not improved:
             converged = True
             break
 
-    medoids = np.sort(medoids)
+    medoids.sort()
     cols = m[:, medoids]
     assignment = cols.argmin(axis=1)
     # force each medoid into its own cluster even if another sits at distance 0

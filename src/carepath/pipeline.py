@@ -87,6 +87,8 @@ class PipelineConfig:
     sankey_pairs: int = 2
 
     def validate(self) -> None:
+        if self.synth_patients < 0:
+            raise DataError("synth_patients must be >= 0")
         synth = self.synth_patients > 0
         files = self.trajectory_csv is not None and self.covariate_csv is not None
         if synth == files:
@@ -609,6 +611,10 @@ def holdout_rsf(
     """
     if not 0.0 < test_size < 1.0:
         raise DataError("test_size must be in (0, 1)")
+    if trees < 1:
+        raise DataError("trees must be >= 1")
+    if mtry is not None and mtry < 1:
+        raise DataError("mtry must be >= 1")
     m = len(records)
     if m < 4:
         return None, None

@@ -89,6 +89,13 @@ class SurvivalRecord:
             raise DataError(f"patient {self.patient_id!r}: sex must be 1 or 2")
         if self.shock_flag not in (0, 1):
             raise DataError(f"patient {self.patient_id!r}: shock_flag must be 0 or 1")
+        for name in ("birth_year", "n_hospitalizations", "total_stay_days"):
+            try:
+                float(getattr(self, name))
+            except OverflowError:
+                raise DataError(
+                    f"patient {self.patient_id!r}: {name} is too large for a float"
+                ) from None
 
 
 def record_covariates(record: SurvivalRecord) -> np.ndarray:

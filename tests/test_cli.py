@@ -120,13 +120,25 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["survival", "run"])
-    @pytest.mark.parametrize("time", ["nan", "inf"])
-    def test_non_finite_follow_up_time_is_a_data_error(self, tmp_path, command, time):
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("time_days", "nan", "follow-up time"),
+            ("time_days", "inf", "follow-up time"),
+            # an integer too large for a float would overflow the covariate matrix
+            ("birth_year", "1" + "0" * 400, "birth_year is too large"),
+            ("total_stay_days", "1" + "0" * 400, "total_stay_days is too large"),
+        ],
+        ids=["nan", "inf", "huge-birth-year", "huge-stay"],
+    )
+    def test_non_finite_follow_up_time_is_a_data_error(
+        self, tmp_path, command, column, value, message
+    ):
         cohort = synth_dir(tmp_path, n=20)
         covariates = cohort / "covariates.csv"
         header, first, *rest = covariates.read_text().splitlines(keepends=True)
         fields = first.rstrip("\r\n").split(",")
-        fields[-1] = time
+        fields[header.rstrip("\r\n").split(",").index(column)] = value
         covariates.write_text("".join([header, ",".join(fields) + "\r\n", *rest]))
         argv = ["--trajectories", str(cohort / "trajectories.csv"), "--covariates", str(covariates)]
         if command == "run":
@@ -141,7 +153,7 @@ class TestExitCodes:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
-        assert f"{covariates} row 2: patient 'P00000': follow-up time" in proc.stderr
+        assert f"{covariates} row 2: patient 'P00000': {message}" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
@@ -295,18 +307,28 @@ class TestCommands:
     )
     def test_survival_rejects_bad_forest_settings(self, tmp_path, capsys, flags):
         out = synth_dir(tmp_path, n=60)
-        code = cli.main(
-            [
-                "survival",
-                "--trajectories",
-                str(out / "trajectories.csv"),
-                "--covariates",
-                str(out / "covariates.csv"),
-            ]
-            + flags
-        )
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        capsys.readouterr()  # drop the synth chatter
+        # the first 3 patients are too few for a holdout forest, yet the
+        # settings are still checked
+        tiny = tmp_path / "tiny"
+        tiny.mkdir()
+        for table in ("trajectories", "covariates"):
+            lines = (out / f"{table}.csv").read_text().splitlines(keepends=True)
+            kept = [line for line in lines[1:] if line.split(",")[0] < "P00003"]
+            (tiny / f"{table}.csv").write_text("".join(lines[:1] + kept))
+        for cohort in (out, tiny):
+            code = cli.main(
+                [
+                    "survival",
+                    "--trajectories",
+                    str(cohort / "trajectories.csv"),
+                    "--covariates",
+                    str(cohort / "covariates.csv"),
+                ]
+                + flags
+            )
+            assert code == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_export_sankey(self, tmp_path):
         out = synth_dir(tmp_path)

@@ -146,17 +146,24 @@ def test_matches_plain_pam_oracle_at_any_screen_block_size(cells, cohort_seed):
     # 12 of the 40 trajectories appear twice, in shuffled order, so swaps
     # tie at distance zero and a patched block size puts ties on block edges
     trajectories, _, _ = generate_cohort(n_patients=40, seed=cohort_seed)
-    order = np.random.default_rng(cohort_seed).permutation(52) % 40
-    m = distance_matrix(
+    rng = np.random.default_rng(cohort_seed)
+    order = rng.permutation(52) % 40
+    cohort = distance_matrix(
         [PatientTrajectory(f"p{i}", trajectories[j].codes) for i, j in enumerate(order)],
         WEIGHTS,
     )
+    # the cohort's sums are exact; real-valued sums round, so these two
+    # catch a screen that adds its rows in another order than the oracle
+    symmetric = _random_matrix(rng, 52)
+    asymmetric = rng.random((52, 52)) * 10  # with a non-zero diagonal
     with mock.patch.object(kmedoids, "_BLOCK_CELLS", cells):
-        for k in (1, 3, 8):
-            for seed in range(3):
-                _assert_same_fit(
-                    fit_kmedoids(m, k, seed=seed), helpers.oracle_fit_kmedoids(m, k, seed=seed)
-                )
+        for m in (cohort, symmetric, asymmetric):
+            for k in (1, 3, 8):
+                for seed in range(3):
+                    _assert_same_fit(
+                        fit_kmedoids(m, k, seed=seed),
+                        helpers.oracle_fit_kmedoids(m, k, seed=seed),
+                    )
 
 
 def test_validation_errors():

@@ -266,6 +266,13 @@ class TestConfig:
             PipelineConfig(
                 synth_patients=10, trajectory_csv="t.csv", covariate_csv="c.csv"
             ).validate()
+        # a negative size is its own error, even next to both CSV paths
+        with pytest.raises(DataError, match="synth_patients must be >= 0"):
+            PipelineConfig(
+                synth_patients=-5, trajectory_csv="t.csv", covariate_csv="c.csv"
+            ).validate()
+        with pytest.raises(DataError, match="synth_patients must be >= 0"):
+            PipelineConfig(synth_patients=-5).validate()
         PipelineConfig(synth_patients=10).validate()
         PipelineConfig(trajectory_csv="t.csv", covariate_csv="c.csv").validate()
 
