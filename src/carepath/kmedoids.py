@@ -7,7 +7,9 @@ swap ends the search.
 
 Candidates are screened in fixed-size blocks, one medoid slot at a time:
 with the distance to the nearest other medoid held fixed, one array
-operation gives the total distance of every candidate in the block.  The
+operation gives the total distance of every candidate in the block.  A
+candidate's distances, its column of the matrix, are read as a row: of the
+matrix itself when it equals its transpose, else of a transposed copy.  The
 screen is C-ordered, so its row sums are the same pairwise sums as a full
 evaluation, and they are the totals.  An existing medoid scores at least
 ``td``, the current total, so it is never taken; the fixed distances do not
@@ -61,6 +63,7 @@ def fit_kmedoids(matrix: np.ndarray, k: int, seed: int) -> Clustering:
     history: list[float] = []
 
     rows = max(1, min(n, _BLOCK_CELLS // n))
+    mt = _transpose(m, rows)
     block = np.empty((rows, n))
     converged = False
     for _ in range(DEFAULT_MAX_SWEEPS):
@@ -72,9 +75,10 @@ def fit_kmedoids(matrix: np.ndarray, k: int, seed: int) -> Clustering:
                 stop = min(start + rows, n)
                 screen = block[: stop - start]
                 # row c of the screen is the assignment cost with point
-                # start + c in this slot; the C-ordered block sums each row
-                # contiguously, as the initial total sums its row minima
-                np.minimum(d_other, m[:, start:stop].T, out=screen)
+                # start + c in this slot (column start + c of m, a row of
+                # mt); the C-ordered block sums each row contiguously, as
+                # the initial total sums its row minima
+                np.minimum(d_other, mt[start:stop], out=screen)
                 scores = screen.sum(axis=1)
                 for c in np.flatnonzero(scores < td).tolist():
                     if scores[c] < td:
@@ -103,6 +107,16 @@ def fit_kmedoids(matrix: np.ndarray, k: int, seed: int) -> Clustering:
         converged=converged,
         seed=seed,
     )
+
+
+def _transpose(m: np.ndarray, rows: int) -> np.ndarray:
+    """``m.T`` with contiguous rows: ``m`` itself when it equals its
+    transpose bit for bit (checked ``rows`` rows at a time), else a copy."""
+    bits = m.view(np.int64)
+    for start in range(0, m.shape[0], rows):
+        if not np.array_equal(bits[start : start + rows], bits.T[start : start + rows]):
+            return np.ascontiguousarray(m.T)
+    return m
 
 
 def medoid_profile(

@@ -46,7 +46,7 @@ from .survival import (
     rsf_risk_scores,
     scenario_curves,
 )
-from .synthetic import _derived_seed, generate_cohort
+from .synthetic import _derived_seed, default_archetypes, generate_cohort
 from .tuning import ScoreConfig, tune_search, write_trial_log
 
 NONE_TOKEN = "none"
@@ -95,6 +95,9 @@ class PipelineConfig:
             raise DataError(
                 "configure exactly one data source: synth_patients or both CSV paths"
             )
+        minimum = len(default_archetypes())  # generate_cohort's smallest cohort
+        if synth and self.synth_patients < minimum:
+            raise DataError(f"synth_patients must be >= {minimum}, one per archetype")
         if self.seed < 0:
             raise DataError("seed must be >= 0")
         if self.k < 1:

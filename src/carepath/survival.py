@@ -17,10 +17,21 @@ are added with ``np.add.accumulate``, which adds left to right as the
 loop's ``+=`` does, so every number equals the loop's bit for bit and fits
 and AICs do not move.
 
-Forest trees stay nested dicts.  The three forest evaluators (one-record
-prediction, batch risk scores, scenario curves) share one batched descent
-that routes all rows through each tree with one comparison per split node,
-then add the reached leaves' hazards tree by tree in tree order.
+Forest trees stay nested dicts.  A tree's leaves start empty and are
+filled once the whole forest is grown, in one pass per block of leaves: a
+``bincount`` over (leaf, time rank) counts records and deaths, and row
+cumulative sums give the risk sets and then the cumulative hazards, of
+which each leaf keeps its death ranks.  The rates add left to right and a
+rank without a death adds 0.0, so each leaf equals its own Nelson-Aalen
+loop bit for bit.  The three forest evaluators (one-record prediction,
+batch risk scores, scenario curves) share one batched descent that routes
+all rows through each tree with one comparison per split node and records
+the leaf each row reaches.  For each block of trees, every reached leaf's
+cumulative hazard is read off on the grid once, by selection alone (each
+jump marks the first grid point at or after it, and a running maximum
+carries the last jump forward); the rows then gather their leaves' values
+tree by tree in tree order, the same additions as adding each leaf's
+hazard to its rows.
 
 A forest ranks its covariates and follow-up times once; bootstrap rows
 index those ranks, so trees grow on integers.  A node's split search scores
@@ -46,6 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, NumericError
+from .metric import _BLOCK_CELLS
 
 DEFAULT_REFERENCE_YEAR = 2016
 SEPARATION_BOUND = 50.0
@@ -198,7 +210,8 @@ def nelson_aalen(records: Sequence[SurvivalRecord]) -> StepFunction:
         raise DataError("no records")
     T, E = times_events(records)
     times, t = np.unique(T, return_inverse=True)
-    leaf = _leaf(t, E, times)
+    leaf: dict = {}
+    _fill_leaves([(leaf, t, E)], times)
     return StepFunction(leaf["times"], leaf["chf"], initial=0.0)
 
 
@@ -436,10 +449,35 @@ def _forest_ranks(X: np.ndarray, T: np.ndarray):
     return codes, t, (levels, owner, starts[owner], times)
 
 
-def _leaf(t, E, times) -> dict:
-    # Nelson-Aalen on time ranks into the sorted distinct ``times``
-    has, d, at_risk = _risk_table(t, E)
-    return {"times": times[has], "chf": np.cumsum(d / at_risk)}
+def _fill_leaves(leaves, times) -> None:
+    """Give each ``(leaf, t, E)`` the Nelson-Aalen estimate of its records,
+    whose time ranks ``t`` index the sorted distinct ``times``: the leaf's
+    death times as ``"times"`` and its cumulative hazard there as ``"chf"``.
+
+    One pass per block of at most ``_BLOCK_CELLS`` leaf x rank cells.  A
+    row's cumulative sum adds the rates left to right and the ranks without
+    a death add 0.0, so each leaf's values equal the cumulative sum over its
+    death ranks alone.
+    """
+    width = times.size
+    step = max(1, _BLOCK_CELLS // width)
+    for start in range(0, len(leaves), step):
+        block = leaves[start : start + step]
+        sizes = [t.size for _, t, _ in block]
+        cells = np.concatenate([t for _, t, _ in block]) + np.repeat(
+            np.arange(len(block)) * width, sizes
+        )
+        deaths = np.concatenate([E for _, _, E in block]) == 1
+        counts = np.bincount(cells, minlength=len(block) * width).reshape(-1, width)
+        d = np.bincount(cells[deaths], minlength=counts.size).reshape(-1, width)
+        # the records at each rank or later
+        at_risk = np.array(sizes)[:, None] - counts.cumsum(axis=1) + counts
+        rate = np.divide(d, at_risk, out=np.zeros(d.shape), where=d > 0)
+        leaf_of, rank = d.nonzero()
+        jumps, chf = times[rank], rate.cumsum(axis=1)[leaf_of, rank]
+        stops = np.cumsum(np.bincount(leaf_of, minlength=len(block))).tolist()
+        for (leaf, _, _), lo, hi in zip(block, [0] + stops, stops):
+            leaf["times"], leaf["chf"] = jumps[lo:hi], chf[lo:hi]
 
 
 def _best_split(codes, t, E, scale, rng, mtry, min_leaf):
@@ -495,18 +533,22 @@ def _best_split(codes, t, E, scale, rng, mtry, min_leaf):
     return feature, float(thresholds[j]), codes[:, feature] <= rows[j]
 
 
-def _grow(codes, t, E, scale, rng, mtry, min_split, min_leaf) -> dict:
-    if len(t) < min_split:
-        return _leaf(t, E, scale[-1])
-    split = _best_split(codes, t, E, scale, rng, mtry, min_leaf)
+def _grow(codes, t, E, scale, rng, mtry, min_split, min_leaf, leaves) -> dict:
+    # a leaf starts empty; its records go to ``leaves`` for :func:`_fill_leaves`
+    split = None
+    if len(t) >= min_split:
+        split = _best_split(codes, t, E, scale, rng, mtry, min_leaf)
     if split is None:
-        return _leaf(t, E, scale[-1])
+        leaf: dict = {}
+        leaves.append((leaf, t, E))
+        return leaf
     feature, threshold, mask = split
+    args = (scale, rng, mtry, min_split, min_leaf, leaves)
     return {
         "feature": feature,
         "threshold": threshold,
-        "left": _grow(codes[mask], t[mask], E[mask], scale, rng, mtry, min_split, min_leaf),
-        "right": _grow(codes[~mask], t[~mask], E[~mask], scale, rng, mtry, min_split, min_leaf),
+        "left": _grow(codes[mask], t[mask], E[mask], *args),
+        "right": _grow(codes[~mask], t[~mask], E[~mask], *args),
     }
 
 
@@ -543,14 +585,17 @@ def rsf_fit(
     codes, t, scale = _forest_ranks(X, T)
     trees: list[dict] = []
     boots: list[np.ndarray] = []
+    leaves: list = []
     for tree_index in range(n_estimators):
         rng = np.random.default_rng([seed, tree_index])
         idx = rng.integers(0, n, size=n)
         boots.append(idx)
         grown = _grow(
-            codes[idx], t[idx], E[idx], scale, rng, mtry, min_samples_split, min_samples_leaf
+            codes[idx], t[idx], E[idx], scale, rng, mtry, min_samples_split,
+            min_samples_leaf, leaves,
         )
         trees.append(grown)
+    _fill_leaves(leaves, scale[-1])
     return SurvivalForest(
         trees=trees,
         bootstrap_indices=boots,
@@ -566,12 +611,13 @@ def rsf_fit(
 
 
 def _reached_leaves(forest: SurvivalForest, X: np.ndarray):
-    # batched descent: yields (leaf, row indices reaching it), tree by tree
+    # batched descent: yields (tree index, leaf, row indices reaching it),
+    # tree by tree
     columns = np.array(X, dtype=float).T.copy()
     if forest.use_age:
         columns[0] = forest.reference_year - columns[0]
     all_rows = np.arange(len(X))
-    for tree in forest.trees:
+    for index, tree in enumerate(forest.trees):
         stack = [(tree, all_rows)]
         while stack:
             node, rows = stack.pop()
@@ -582,7 +628,22 @@ def _reached_leaves(forest: SurvivalForest, X: np.ndarray):
                 stack.append((node["right"], rows[~left]))
                 stack.append((node["left"], rows[left]))
             else:
-                yield node, rows
+                yield index, node, rows
+
+
+def _leaf_values(leaves, grid: np.ndarray) -> np.ndarray:
+    """Each leaf's cumulative hazard on ``grid``, one C-ordered row per leaf:
+    the value of its last jump at or before each grid point, else 0."""
+    times = np.concatenate([np.empty(0), *(leaf["times"] for leaf in leaves)])
+    chf = np.concatenate([np.zeros(1), *(leaf["chf"] for leaf in leaves)])
+    owner = np.repeat(np.arange(len(leaves)), [leaf["times"].size for leaf in leaves])
+    # a jump marks the first grid point at or after it (the later of two
+    # jumps on one point wins); the extra last column takes those after the grid
+    width = grid.size + 1
+    last = np.zeros(len(leaves) * width, dtype=np.intp)
+    np.maximum.at(last, owner * width + grid.searchsorted(times), np.arange(1, chf.size))
+    last = np.maximum.accumulate(last.reshape(-1, width), axis=1)
+    return chf[last[:, :-1]]
 
 
 def _hazard_sums(
@@ -591,13 +652,33 @@ def _hazard_sums(
     """Per raw covariate row, the reached leaves' cumulative hazards on
     ``grid``, added tree by tree in tree order.
 
-    With ``summed`` each leaf's hazard is first summed over ``grid``, once
-    per leaf, and every row gets one number.
+    Each reached leaf is evaluated once, in one table per block of trees
+    holding at most ``_BLOCK_CELLS`` leaf x grid cells (or one tree).  With
+    ``summed`` each leaf's hazard is first summed over ``grid`` and every row
+    gets one number.
     """
     acc = np.zeros(len(X) if summed else (len(X), grid.size))
-    for leaf, rows in _reached_leaves(forest, X):
-        hazard = _eval_steps(leaf["times"], leaf["chf"], grid)
-        acc[rows] += float(hazard.sum()) if summed else hazard
+    n_trees = len(forest.trees)
+    ids = np.empty((n_trees, len(X)), dtype=np.intp)  # the leaf each row reaches
+    leaves, owner = [], []
+    for index, leaf, rows in _reached_leaves(forest, X):
+        ids[index, rows] = len(leaves)
+        leaves.append(leaf)
+        owner.append(index)
+    # leaves are numbered tree by tree; tree i's are first[i] to first[i + 1]
+    first = np.searchsorted(owner, np.arange(n_trees + 1))
+    cap = max(1, _BLOCK_CELLS // max(grid.size, 1))
+    start = 0
+    while start < n_trees:
+        stop = max(start + 1, int(first.searchsorted(first[start] + cap, side="right")) - 1)
+        lo = first[start]
+        values = _leaf_values(leaves[lo : first[stop]], grid)
+        if summed:
+            # C-ordered rows sum like the 1-D sum of one leaf's values
+            values = values.sum(axis=1)
+        for index in range(start, stop):
+            acc += values[ids[index] - lo]
+        start = stop
     return acc
 
 
@@ -614,7 +695,7 @@ def rsf_predict(forest: SurvivalForest, covariates) -> tuple[StepFunction, float
     if x.size != _N_COVARIATES:
         raise DataError(f"covariates must have {_N_COVARIATES} columns, got {x.size}")
     X = x[None, :]
-    parts = [leaf["times"] for leaf, _ in _reached_leaves(forest, X)]
+    parts = [leaf["times"] for _, leaf, _ in _reached_leaves(forest, X)]
     grid = np.unique(np.concatenate([np.empty(0), *parts]))
     chf = _hazard_sums(forest, X, grid)[0] / len(forest.trees)
     risk = float(_eval_steps(grid, chf, forest.event_times).sum())

@@ -166,6 +166,18 @@ def test_matches_plain_pam_oracle_at_any_screen_block_size(cells, cohort_seed):
                     )
 
 
+@pytest.mark.parametrize("rows", [1, 9, 52])
+def test_screen_rows_are_the_matrix_columns(rows):
+    # the symmetry check goes block by block; here only the last block's
+    # rows 50 and 51 differ from their columns
+    m = _random_matrix(np.random.default_rng(2), 52)
+    assert kmedoids._transpose(m, rows) is m
+    m[51, 50] += 1.0
+    mt = kmedoids._transpose(m, rows)
+    assert mt.flags.c_contiguous
+    assert np.array_equal(mt, m.T)
+
+
 def test_validation_errors():
     m = _random_matrix(np.random.default_rng(1), 5)
     with pytest.raises(DataError):

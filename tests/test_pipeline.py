@@ -32,7 +32,7 @@ from carepath.pipeline import (
     _split_indices,
 )
 from carepath.survival import SurvivalRecord, covariate_matrix, cox_fit
-from carepath.synthetic import generate_cohort
+from carepath.synthetic import default_archetypes, generate_cohort
 
 
 def _traj(pid, *raw):
@@ -273,6 +273,12 @@ class TestConfig:
             ).validate()
         with pytest.raises(DataError, match="synth_patients must be >= 0"):
             PipelineConfig(synth_patients=-5).validate()
+        # below one patient per archetype, which generate_cohort needs
+        minimum = len(default_archetypes())
+        for size in (1, minimum - 1):
+            with pytest.raises(DataError, match=f"synth_patients must be >= {minimum}"):
+                PipelineConfig(synth_patients=size, k=1).validate()
+        PipelineConfig(synth_patients=minimum, k=1).validate()
         PipelineConfig(synth_patients=10).validate()
         PipelineConfig(trajectory_csv="t.csv", covariate_csv="c.csv").validate()
 

@@ -1,6 +1,7 @@
 import hashlib
 import pickle
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,12 +10,13 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import logrank_statistic, walk_tree
+from carepath import survival
 from carepath.errors import DataError
 from carepath.survival import (
     SurvivalRecord,
     _best_split,
+    _fill_leaves,
     _forest_ranks,
-    _leaf,
     record_covariates,
     rsf_fit,
     rsf_predict,
@@ -216,35 +218,65 @@ class TestSplitSearchMatchesOracle:
         assert split_of(*at[:3], np.random.default_rng(1), 3, 5) is not None
 
 
+_BLOCK_SIZES = [1, 7, 64, survival._BLOCK_CELLS]
+
+
 @st.composite
 def _leaf_samples(draw):
-    """Times and events of a sample, and the bootstrap rows of one leaf."""
+    """Times and events of a sample, the bootstrap rows of several leaves
+    and a block size for the leaf pass."""
     n = draw(st.integers(1, 40))
     T = _draw_ints(draw, n, 1, draw(st.sampled_from([1, 3, 12, 60]))).astype(float)
     E = (_draw_ints(draw, n, 0, 9) < draw(st.integers(0, 10))).astype(int)
-    rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
-    return T, E, np.array(rows)
+    rows = st.lists(st.integers(0, n - 1), min_size=1, max_size=n).map(np.array)
+    leaves = draw(st.lists(rows, min_size=1, max_size=6))
+    return T, E, leaves, draw(st.sampled_from(_BLOCK_SIZES))
+
+
+def _many_deaths():
+    # 30 deaths at distinct times: long rows of rates that pairwise and
+    # left-to-right sums round apart
+    T = np.arange(1.0, 31.0)
+    return T, np.ones(30, dtype=int), [np.arange(30), np.arange(3, 30, 2)], 64
 
 
 class TestLeafMatchesNelsonAalen:
-    """A leaf built on the forest's time ranks must hold the plain-loop
-    Nelson-Aalen estimate of its own records, bit for bit."""
+    """Leaves filled in one pass on the forest's time ranks must each hold
+    the plain-loop Nelson-Aalen estimate of their own records, bit for bit."""
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(_leaf_samples())
-    # tied times, with a death and a censoring at the same time
-    @example((np.array([3.0, 1.0, 3.0, 2.0, 3.0]), np.array([1, 0, 1, 1, 0]), np.arange(5)))
-    @example((np.array([5.0, 2.0, 7.0]), np.array([0, 0, 0]), np.array([0, 2])))  # all censored
-    @example((np.array([4.0, 9.0]), np.array([1, 1]), np.array([1])))  # one record
-    @example((np.array([4.0, 6.0, 8.0]), np.array([1, 1, 1]), np.array([2, 0, 2])))  # superset
+    @example(
+        (
+            np.array([3.0, 1.0, 3.0, 2.0, 3.0, 5.0, 7.0, 9.0]),
+            np.array([1, 0, 1, 1, 0, 0, 0, 1]),
+            [
+                np.arange(5),  # tied times, with a death and a censoring at the same time
+                np.array([5, 6]),  # all censored
+                np.array([7]),  # one record
+                np.array([3, 7, 7]),  # deaths at ranks 1 and 5 only
+                np.array([0, 2]),  # deaths at rank 2 only, between those
+            ],
+            7,
+        )
+    )
+    @example((np.array([5.0, 2.0, 7.0]), np.array([0, 0, 0]), [np.array([0, 2])], 1))
+    @example(
+        (np.array([4.0, 6.0, 8.0]), np.array([1, 1, 1]), [np.array([2, 0, 2]), np.array([1])], 1)
+    )
+    @example(_many_deaths())
     def test_same_times_and_hazards(self, sample):
-        T, E, rows = sample
+        T, E, leaf_rows, cells = sample
         _, t, scale = _forest_ranks(np.zeros((len(T), 1)), T)
-        leaf = _leaf(t[rows], E[rows], scale[-1])
-        times, chf = helpers.oracle_nelson_aalen(T[rows], E[rows])
-        assert leaf["times"].dtype == leaf["chf"].dtype == np.float64
-        assert np.array_equal(leaf["times"], times)
-        assert np.array_equal(leaf["chf"], chf)
+        leaves = [({}, t[rows], E[rows]) for rows in leaf_rows]
+        with mock.patch.object(survival, "_BLOCK_CELLS", cells):
+            _fill_leaves(leaves, scale[-1])
+        for (leaf, _, _), rows in zip(leaves, leaf_rows):
+            times, chf = helpers.oracle_nelson_aalen(T[rows], E[rows])
+            assert set(leaf) == {"times", "chf"}
+            assert leaf["times"].dtype == leaf["chf"].dtype == np.float64
+            assert np.array_equal(leaf["times"], times)
+            assert np.array_equal(leaf["chf"], chf)
 
 
 class TestForestFit:
@@ -523,3 +555,45 @@ class TestPinnedTrees:
             use_age=use_age,
         )
         assert forest_digest(forest.trees) == self.PINNED[key]
+
+
+class TestBlockSizes:
+    """The leaf pass and the leaf-value tables work in blocks; any block
+    size must give the same trees and the same predictions."""
+
+    @pytest.mark.parametrize("cells", _BLOCK_SIZES)
+    @pytest.mark.parametrize("key", sorted(TestPinnedTrees.PINNED))
+    def test_pinned_trees(self, pinned_cohort, key, cells):
+        size, use_age, leaf = key
+        with mock.patch.object(survival, "_BLOCK_CELLS", cells):
+            forest = rsf_fit(
+                pinned_cohort[size],
+                n_estimators=10,
+                seed=21,
+                min_samples_leaf=leaf,
+                use_age=use_age,
+            )
+        assert forest_digest(forest.trees) == TestPinnedTrees.PINNED[key]
+
+    @pytest.mark.parametrize("cells", _BLOCK_SIZES)
+    def test_small_group_forest_of_leaves(self, midsize_cohort, cells):
+        # a cluster's training split below 2 * min_leaf: every tree is one leaf
+        records = midsize_cohort[1][40:54]
+        with mock.patch.object(survival, "_BLOCK_CELLS", cells):
+            forest = rsf_fit(records, n_estimators=24, seed=7)
+            assert all("feature" not in tree for tree in forest.trees)
+            for start, size in ((0, 1), (3, 5), (0, 14)):
+                TestBatchedEvaluatorsMatchOracles.check(forest, records[start : start + size])
+
+    @pytest.mark.parametrize("cells", _BLOCK_SIZES)
+    def test_mixed_forest(self, midsize_cohort, cells):
+        # 30 records at the default min_leaf: some bootstrap samples split
+        records = midsize_cohort[1][:30]
+        with mock.patch.object(survival, "_BLOCK_CELLS", cells):
+            forest = rsf_fit(records, n_estimators=30, seed=3)
+            kinds = {"feature" in tree for tree in forest.trees}
+            assert kinds == {True, False}
+            # the scenario grid starts at 0, before every leaf's first jump
+            assert 0.0 < forest.event_times[0]
+            for start, size in ((0, 1), (10, 9), (0, 30)):
+                TestBatchedEvaluatorsMatchOracles.check(forest, records[start : start + size])
