@@ -584,7 +584,8 @@ def cohort_cox_aic(
 ) -> float | None:
     """AIC of a proportional-hazards fit on the non-constant covariates.
 
-    Returns ``None`` when no covariate varies or the fit degenerates.
+    Returns ``None`` when no covariate varies, the fit degenerates, or the
+    fit does not converge.
     """
     X = covariate_matrix(records, use_age=use_age, reference_year=reference_year)
     keep = (X != X[:1]).any(axis=0)
@@ -594,7 +595,7 @@ def cohort_cox_aic(
         model = cox_fit(records, covariates=X[:, keep])
     except (DataError, NumericError):
         return None
-    return cox_aic(model, int(keep.sum()))
+    return cox_aic(model, int(keep.sum())) if model.converged else None
 
 
 def holdout_rsf(

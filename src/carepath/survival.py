@@ -24,14 +24,17 @@ cumulative sums give the risk sets and then the cumulative hazards, of
 which each leaf keeps its death ranks.  The rates add left to right and a
 rank without a death adds 0.0, so each leaf equals its own Nelson-Aalen
 loop bit for bit.  The three forest evaluators (one-record prediction,
-batch risk scores, scenario curves) share one batched descent that routes
-all rows through each tree with one comparison per split node and records
-the leaf each row reaches.  For each block of trees, every reached leaf's
-cumulative hazard is read off on the grid once, by selection alone (each
-jump marks the first grid point at or after it, and a running maximum
-carries the last jump forward); the rows then gather their leaves' values
-tree by tree in tree order, the same additions as adding each leaf's
-hazard to its rows.
+batch risk scores, scenario curves) each make one batched descent that
+routes all rows through each tree with one comparison per split node and
+returns the reached leaves and the id of the leaf each row reaches in each
+tree.  Every grid an evaluator uses holds every jump of the leaves it
+evaluates, so for each block of trees every reached leaf's cumulative
+hazard is read off on the grid once, by selection alone (each jump marks
+its own grid point, and a running maximum carries it forward); the rows
+then gather their leaves' values tree by tree in tree order, the same
+additions as adding each leaf's hazard to its rows.  Every jump is a
+training event time: a one-record prediction evaluates on the event times
+and reads its curve (at the reached jumps) and its risk off that one table.
 
 A forest ranks its covariates and follow-up times once; bootstrap rows
 index those ranks, so trees grow on integers.  A node's split search scores
@@ -163,19 +166,13 @@ class StepFunction:
         object.__setattr__(self, "values", v)
 
     def __call__(self, t):
+        # the value of the last jump at or before each point, else ``initial``
         arr = np.asarray(t, dtype=float)
-        out = _eval_steps(self.times, self.values, arr, self.initial)
+        values = np.concatenate([[self.initial], self.values])
+        out = values[self.times.searchsorted(arr, side="right")]
         if arr.ndim == 0:
             return float(out)
         return out
-
-
-def _eval_steps(times, values, grid, initial: float = 0.0) -> np.ndarray:
-    # the value of the last jump at or before each grid point, else ``initial``
-    if times.size == 0:
-        return np.full(grid.shape, initial)
-    idx = np.searchsorted(times, grid, side="right") - 1
-    return np.where(idx >= 0, values[np.maximum(idx, 0)], initial)
 
 
 def _risk_table(t, E):
@@ -384,21 +381,19 @@ def cox_fit(
         except np.linalg.LinAlgError as exc:
             raise DegenerateCovariatesError("singular information matrix") from exc
         step = 1.0
-        improved = False
         for _ in range(45):
             cand = beta + step * delta
             # where exp(eta) overflows, or underflows over a whole risk set, the
-            # likelihood is -inf, nan or +inf; the test below decides, unwarned
-            # (the first two fail it, +inf passes it)
+            # computed likelihood is -inf, nan or +inf (the true one is finite);
+            # such a candidate is rejected, unwarned
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                ll_new, grad_new, hess_new, steps_new = _breslow_sweep(rs, cand)
-            if ll_new >= ll - 1e-12:
-                improved = True
+                sweep = _breslow_sweep(rs, cand)
+            if np.isfinite(sweep[0]) and sweep[0] >= ll - 1e-12:
                 break
             step *= 0.5
-        if not improved:
+        else:
             break
-        beta, ll, grad, hess, steps = cand, ll_new, grad_new, hess_new, steps_new
+        beta, (ll, grad, hess, steps) = cand, sweep
         if float(np.max(np.abs(beta))) > SEPARATION_BOUND:
             raise SeparationError(
                 f"coefficient magnitude exceeded {SEPARATION_BOUND}; likely separation"
@@ -611,11 +606,20 @@ def rsf_fit(
 
 
 def _reached_leaves(forest: SurvivalForest, X: np.ndarray):
-    # batched descent: yields (tree index, leaf, row indices reaching it),
-    # tree by tree
+    """One batched descent of every tree for raw covariate rows ``X``, with
+    one comparison per split node.
+
+    Returns ``(ids, leaves, first)``: the reached leaves, listed tree by
+    tree; where each tree's leaves start in ``leaves`` (``first[i]`` to
+    ``first[i + 1]`` are tree ``i``'s); and ``ids[i, r]``, the index in
+    ``leaves`` of the leaf that row ``r`` reaches in tree ``i``.
+    """
     columns = np.array(X, dtype=float).T.copy()
     if forest.use_age:
         columns[0] = forest.reference_year - columns[0]
+    ids = np.empty((len(forest.trees), len(X)), dtype=np.intp)
+    leaves: list[dict] = []
+    first = [0]
     all_rows = np.arange(len(X))
     for index, tree in enumerate(forest.trees):
         stack = [(tree, all_rows)]
@@ -628,45 +632,40 @@ def _reached_leaves(forest: SurvivalForest, X: np.ndarray):
                 stack.append((node["right"], rows[~left]))
                 stack.append((node["left"], rows[left]))
             else:
-                yield index, node, rows
+                ids[index, rows] = len(leaves)
+                leaves.append(node)
+        first.append(len(leaves))
+    return ids, leaves, np.array(first)
 
 
 def _leaf_values(leaves, grid: np.ndarray) -> np.ndarray:
-    """Each leaf's cumulative hazard on ``grid``, one C-ordered row per leaf:
-    the value of its last jump at or before each grid point, else 0."""
+    """Each leaf's cumulative hazard on ``grid``, one C-ordered row per leaf.
+
+    ``grid`` must hold every jump of every leaf.  Each jump's index into the
+    concatenated hazards (behind a leading 0) goes to its own grid point, and
+    a running maximum carries it to the later points, so a point reads the
+    leaf's last jump at or before it, and 0 before the first.
+    """
     times = np.concatenate([np.empty(0), *(leaf["times"] for leaf in leaves)])
     chf = np.concatenate([np.zeros(1), *(leaf["chf"] for leaf in leaves)])
     owner = np.repeat(np.arange(len(leaves)), [leaf["times"].size for leaf in leaves])
-    # a jump marks the first grid point at or after it (the later of two
-    # jumps on one point wins); the extra last column takes those after the grid
-    width = grid.size + 1
-    last = np.zeros(len(leaves) * width, dtype=np.intp)
-    np.maximum.at(last, owner * width + grid.searchsorted(times), np.arange(1, chf.size))
-    last = np.maximum.accumulate(last.reshape(-1, width), axis=1)
-    return chf[last[:, :-1]]
+    last = np.zeros((len(leaves), grid.size), dtype=np.intp)
+    last[owner, grid.searchsorted(times)] = np.arange(1, chf.size)
+    return chf[np.maximum.accumulate(last, axis=1)]
 
 
-def _hazard_sums(
-    forest: SurvivalForest, X: np.ndarray, grid: np.ndarray, summed: bool = False
-) -> np.ndarray:
-    """Per raw covariate row, the reached leaves' cumulative hazards on
-    ``grid``, added tree by tree in tree order.
+def _hazard_sums(reached, grid: np.ndarray, summed: bool = False) -> np.ndarray:
+    """Per row of a :func:`_reached_leaves` descent, the reached leaves'
+    cumulative hazards on ``grid``, added tree by tree in tree order.
 
     Each reached leaf is evaluated once, in one table per block of trees
     holding at most ``_BLOCK_CELLS`` leaf x grid cells (or one tree).  With
     ``summed`` each leaf's hazard is first summed over ``grid`` and every row
     gets one number.
     """
-    acc = np.zeros(len(X) if summed else (len(X), grid.size))
-    n_trees = len(forest.trees)
-    ids = np.empty((n_trees, len(X)), dtype=np.intp)  # the leaf each row reaches
-    leaves, owner = [], []
-    for index, leaf, rows in _reached_leaves(forest, X):
-        ids[index, rows] = len(leaves)
-        leaves.append(leaf)
-        owner.append(index)
-    # leaves are numbered tree by tree; tree i's are first[i] to first[i + 1]
-    first = np.searchsorted(owner, np.arange(n_trees + 1))
+    ids, leaves, first = reached
+    n_trees, n_rows = ids.shape
+    acc = np.zeros(n_rows if summed else (n_rows, grid.size))
     cap = max(1, _BLOCK_CELLS // max(grid.size, 1))
     start = 0
     while start < n_trees:
@@ -694,12 +693,11 @@ def rsf_predict(forest: SurvivalForest, covariates) -> tuple[StepFunction, float
         raise DataError("covariates must be a flat vector")
     if x.size != _N_COVARIATES:
         raise DataError(f"covariates must have {_N_COVARIATES} columns, got {x.size}")
-    X = x[None, :]
-    parts = [leaf["times"] for _, leaf, _ in _reached_leaves(forest, X)]
-    grid = np.unique(np.concatenate([np.empty(0), *parts]))
-    chf = _hazard_sums(forest, X, grid)[0] / len(forest.trees)
-    risk = float(_eval_steps(grid, chf, forest.event_times).sum())
-    return StepFunction(grid, np.exp(-chf), initial=1.0), risk
+    reached = _reached_leaves(forest, x[None, :])
+    grid = np.unique(np.concatenate([leaf["times"] for leaf in reached[1]]))
+    chf = _hazard_sums(reached, forest.event_times)[0] / len(forest.trees)
+    curve = np.exp(-chf[forest.event_times.searchsorted(grid)])
+    return StepFunction(grid, curve, initial=1.0), float(chf.sum())
 
 
 def rsf_risk_scores(
@@ -711,8 +709,8 @@ def rsf_risk_scores(
     hazard summed over the training event times; each leaf's sum is
     computed once.  Equals the risk of :func:`rsf_predict` up to rounding.
     """
-    sums = _hazard_sums(forest, covariate_matrix(records), forest.event_times, summed=True)
-    return sums / len(forest.trees)
+    reached = _reached_leaves(forest, covariate_matrix(records))
+    return _hazard_sums(reached, forest.event_times, summed=True) / len(forest.trees)
 
 
 def scenario_curves(
@@ -727,7 +725,8 @@ def scenario_curves(
     if not records:
         raise DataError("no records")
     grid = np.unique(np.concatenate([[0.0], forest.event_times]))
-    chf = _hazard_sums(forest, covariate_matrix(records), grid) / len(forest.trees)
+    reached = _reached_leaves(forest, covariate_matrix(records))
+    chf = _hazard_sums(reached, grid) / len(forest.trees)
     surv = np.exp(-chf)
     areas = _trapezoid(surv, grid, axis=1)
     best = StepFunction(grid, surv[int(np.argmax(areas))], initial=1.0)

@@ -249,6 +249,16 @@ class TestSurvivalHelpers:
         else:
             assert aic is None and not fit.called
 
+    def test_cox_aic_of_an_unconverged_fit_is_none(self, midsize_cohort):
+        records = midsize_cohort[1]
+
+        def one_step(*args, **kwargs):
+            return cox_fit(*args, max_iter=1, **kwargs)
+
+        with mock.patch("carepath.pipeline.cox_fit", one_step):
+            assert cohort_cox_aic(records) is None
+        assert cohort_cox_aic(records) is not None
+
     def test_holdout_rsf_tiny_group(self, midsize_cohort):
         assert holdout_rsf(midsize_cohort[1][:3], trees=5, mtry=None, seed=0) == (None, None)
 

@@ -29,12 +29,37 @@ from test_survival import make_records
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
-def eval_step_slowly(times, values, grid):
+def eval_step_slowly(times, values, grid, initial=0.0):
     out = []
     for g in grid:
         reached = [v for t, v in zip(times, values) if t <= g]
-        out.append(reached[-1] if reached else 0.0)
+        out.append(reached[-1] if reached else initial)
     return np.array(out)
+
+
+class TestStepFunctionMatchesLoop:
+    @pytest.mark.parametrize("initial", [0.0, 1.0])
+    @pytest.mark.parametrize(
+        "times, values, points",
+        [
+            ([1.0, 3.0], [0.5, 0.2], 2.0),
+            ([1.0, 3.0, 7.0], [0.1, 0.4, 0.9], [0.0, 1.0, 2.0, 3.0, 7.0, 9.0]),
+            ([4.0, 5.0], [0.3, 0.6], [-1.0, 0.0, 3.9]),
+            ([], [], [0.0, 5.0]),
+            ([], [], 5.0),
+        ],
+        ids=["scalar", "array", "before-first-jump", "no-jumps", "no-jumps-scalar"],
+    )
+    def test_equals_loop(self, times, values, points, initial):
+        f = survival.StepFunction(np.array(times), np.array(values), initial=initial)
+        got = f(points)
+        want = eval_step_slowly(times, values, np.atleast_1d(points), initial)
+        if np.ndim(points) == 0:
+            assert type(got) is float
+            assert got == want[0]
+        else:
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
 
 
 def collect_leaves(node):
@@ -380,6 +405,20 @@ class TestForestPrediction:
         assert np.allclose(surv.values, np.exp(-mean_chf), atol=1e-12)
         want_risk = eval_step_slowly(grid, mean_chf, forest.event_times).sum()
         assert risk == pytest.approx(want_risk, abs=1e-9)
+
+    def test_each_evaluator_descends_once(self, fitted):
+        forest, records = fitted
+        calls = [
+            lambda: rsf_predict(forest, record_covariates(records[0])),
+            lambda: rsf_risk_scores(forest, records[:9]),
+            lambda: scenario_curves(forest, records[:9]),
+        ]
+        for call in calls:
+            with mock.patch.object(
+                survival, "_reached_leaves", wraps=survival._reached_leaves
+            ) as descent:
+                call()
+            assert descent.call_count == 1
 
     def test_survival_curves_are_valid(self, fitted):
         forest, records = fitted

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -316,6 +317,27 @@ class TestCox:
             warnings.simplefilter("error")
             with pytest.raises(SeparationError):
                 cox_fit(make_records(times, events), covariates=np.array(x, dtype=float))
+
+    def test_non_finite_candidate_likelihood_is_rejected(self):
+        # a near-singular information matrix gives a Newton step near 1e16;
+        # every halved candidate underflows a whole risk set, so its
+        # likelihood is +inf, and none may be taken for an improvement
+        records = make_records([1, 2, 1, 4, 1], [0, 1, 0, 1, 0])
+        x = np.array([[0, 3], [3, 3], [3, 3], [0, 3], [3, 0]], dtype=float)
+        sweep = survival._breslow_sweep
+        likelihoods = []
+
+        def spy(rs, beta):
+            out = sweep(rs, beta)
+            likelihoods.append(out[0])
+            return out
+
+        with mock.patch.object(survival, "_breslow_sweep", spy):
+            model = cox_fit(records, covariates=x)
+        assert np.inf in likelihoods
+        assert model.beta.tolist() == [0.0, 0.0]
+        assert model.log_partial_likelihood == likelihoods[0]
+        assert model.n_iter == 1 and model.converged is False
 
     def test_duplicated_covariates_detected(self):
         rng = np.random.default_rng(2)
