@@ -5,10 +5,16 @@ which can go to stdout, are written another way.
 
 The trajectory table holds one row per hospitalization
 (``patient_id, seq_index, code``); the covariate table holds one row per
-patient (``patient_id, birth_year, sex, shock_flag, total_stay_days,
-event, time_days``).  Hospitalization counts are always re-derived from the
-trajectory, never read from input.  Error messages cite 1-based physical
-row numbers, header included.
+patient, with the columns of ``_COVARIATE_COLUMNS``, which names each
+column's :class:`SurvivalRecord` field and parser; the header, the loader
+and the writer all read that one table.  Hospitalization counts are always
+re-derived from the trajectory, never read from input.
+
+:func:`_rows` owns the rules both tables share: the exact header, and a row
+width equal to the header's.  Error messages cite 1-based physical row
+numbers, header included.  Writers hand floats and ``None`` to
+:func:`write_csv` as they are; the csv module writes a float as its
+shortest round-trip text and ``None`` as an empty cell.
 """
 
 from __future__ import annotations
@@ -22,26 +28,21 @@ from .metric import PatientTrajectory
 from .survival import SurvivalRecord
 
 TRAJECTORY_HEADER = ("patient_id", "seq_index", "code")
-COVARIATE_HEADER = (
-    "patient_id",
-    "birth_year",
-    "sex",
-    "shock_flag",
-    "total_stay_days",
-    "event",
-    "time_days",
+# (column, SurvivalRecord field, parser), in file order
+_COVARIATE_COLUMNS = (
+    ("patient_id", "patient_id", str),
+    ("birth_year", "birth_year", int),
+    ("sex", "sex", int),
+    ("shock_flag", "shock_flag", int),
+    ("total_stay_days", "total_stay_days", int),
+    ("event", "event", int),
+    ("time_days", "time", float),
 )
+COVARIATE_HEADER = tuple(column for column, _, _ in _COVARIATE_COLUMNS)
 
 
 class DatasetError(DataError):
     pass
-
-
-def _check_header(path, row, expected) -> None:
-    if tuple(row) != expected:
-        raise DatasetError(
-            f"{path}: expected header {','.join(expected)}, got {','.join(row)}"
-        )
 
 
 def _field(path, row_no, name, raw, parse):
@@ -52,52 +53,55 @@ def _field(path, row_no, name, raw, parse):
         raise DatasetError(f"{path} row {row_no}: bad {name} {raw!r}") from None
 
 
-def _rows(path, expected):
-    """The non-blank rows after the header, with their row numbers.  Bytes
-    that do not decode and csv's own errors (such as a field over its size
-    limit) raise :class:`DatasetError` naming the file."""
+def _rows(path, header):
+    """The non-blank rows after ``header``, with their row numbers; each must
+    be as wide as ``header``.  Bytes that do not decode and csv's own errors
+    (such as a field over its size limit) raise :class:`DatasetError` naming
+    the file."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
+            first = next(reader, None)
+            if first is None:
                 raise DatasetError(f"{path}: empty file")
-            _check_header(path, header, expected)
+            if tuple(first) != header:
+                raise DatasetError(
+                    f"{path}: expected header {','.join(header)}, got {','.join(first)}"
+                )
             for row_no, row in enumerate(reader, start=2):
-                if row:
-                    yield row_no, row
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DatasetError(
+                        f"{path} row {row_no}: expected {len(header)} fields, got {len(row)}"
+                    )
+                yield row_no, row
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DatasetError(f"{path}: {exc}") from exc
 
 
 def load_trajectories(path) -> list[PatientTrajectory]:
     """Read and group the trajectory table; patients keep first-appearance order."""
-    stays: dict[str, list[tuple[int, object]]] = {}
-    seen: set[tuple[str, int]] = set()
-    for row_no, row in _rows(path, TRAJECTORY_HEADER):
-        if len(row) != 3:
-            raise DatasetError(f"{path} row {row_no}: expected 3 fields, got {len(row)}")
-        patient_id, seq_raw, code_raw = row
+    stays: dict[str, dict[int, object]] = {}
+    for row_no, (patient_id, seq_raw, code_raw) in _rows(path, TRAJECTORY_HEADER):
         seq_index = _field(path, row_no, "seq_index", seq_raw, int)
         try:
             code = parse_code(code_raw)
         except CodeError as exc:
             raise DatasetError(f"{path} row {row_no}: {exc}") from exc
-        key = (patient_id, seq_index)
-        if key in seen:
+        codes = stays.setdefault(patient_id, {})
+        if seq_index in codes:
             raise DatasetError(
                 f"{path} row {row_no}: duplicate seq_index {seq_index} "
                 f"for patient {patient_id!r}"
             )
-        seen.add(key)
-        stays.setdefault(patient_id, []).append((seq_index, code))
+        codes[seq_index] = code
     if not stays:
         raise DatasetError(f"{path}: no trajectory rows")
-    out = []
-    for patient_id, rows in stays.items():
-        rows.sort(key=lambda x: x[0])
-        out.append(PatientTrajectory(patient_id, tuple(code for _, code in rows)))
-    return out
+    return [
+        PatientTrajectory(patient_id, tuple(codes[i] for i in sorted(codes)))
+        for patient_id, codes in stays.items()
+    ]
 
 
 def load_dataset(
@@ -107,11 +111,6 @@ def load_dataset(
     trajectories = load_trajectories(trajectory_csv)
     raw: dict[str, tuple[int, list[str]]] = {}
     for row_no, row in _rows(covariate_csv, COVARIATE_HEADER):
-        if len(row) != len(COVARIATE_HEADER):
-            raise DatasetError(
-                f"{covariate_csv} row {row_no}: expected "
-                f"{len(COVARIATE_HEADER)} fields, got {len(row)}"
-            )
         if row[0] in raw:
             raise DatasetError(f"{covariate_csv} row {row_no}: duplicate patient {row[0]!r}")
         raw[row[0]] = (row_no, row)
@@ -123,25 +122,14 @@ def load_dataset(
                 f"{covariate_csv}: no covariate row for patient {traj.patient_id!r}"
             )
         row_no, row = raw[traj.patient_id]
-        n_hosp = sum(1 for c in traj.codes if not c.is_death)
+        fields = {
+            name: _field(covariate_csv, row_no, column, cell, parse)
+            for (column, name, parse), cell in zip(_COVARIATE_COLUMNS, row)
+        }
+        fields["n_hospitalizations"] = sum(1 for c in traj.codes if not c.is_death)
         try:
-            records.append(
-                SurvivalRecord(
-                    patient_id=traj.patient_id,
-                    birth_year=_field(covariate_csv, row_no, "birth_year", row[1], int),
-                    sex=_field(covariate_csv, row_no, "sex", row[2], int),
-                    n_hospitalizations=n_hosp,
-                    shock_flag=_field(covariate_csv, row_no, "shock_flag", row[3], int),
-                    total_stay_days=_field(
-                        covariate_csv, row_no, "total_stay_days", row[4], int
-                    ),
-                    event=_field(covariate_csv, row_no, "event", row[5], int),
-                    time=_field(covariate_csv, row_no, "time_days", row[6], float),
-                )
-            )
+            records.append(SurvivalRecord(**fields))
         except DataError as exc:
-            if isinstance(exc, DatasetError):
-                raise
             raise DatasetError(f"{covariate_csv} row {row_no}: {exc}") from exc
     return trajectories, records
 
@@ -172,16 +160,5 @@ def write_covariates_csv(path, records: Sequence[SurvivalRecord]) -> None:
     write_csv(
         path,
         COVARIATE_HEADER,
-        (
-            [
-                rec.patient_id,
-                rec.birth_year,
-                rec.sex,
-                rec.shock_flag,
-                rec.total_stay_days,
-                rec.event,
-                repr(rec.time),
-            ]
-            for rec in records
-        ),
+        ([getattr(rec, name) for _, name, _ in _COVARIATE_COLUMNS] for rec in records),
     )

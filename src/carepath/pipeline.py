@@ -317,10 +317,6 @@ class RunResult:
     _members: list[np.ndarray] = field(default_factory=list, repr=False)
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
-
-
 def write_assignments_csv(path, patient_ids: Sequence[str], clustering: Clustering) -> None:
     medoids = set(clustering.medoid_indices)
     write_csv(
@@ -330,7 +326,7 @@ def write_assignments_csv(path, patient_ids: Sequence[str], clustering: Clusteri
             [
                 pid,
                 int(clustering.assignment[i]),
-                repr(float(clustering.distance_to_medoid[i])),
+                clustering.distance_to_medoid[i],
                 1 if i in medoids else 0,
             ]
             for i, pid in enumerate(patient_ids)
@@ -485,7 +481,7 @@ def _profiles(run: RunResult) -> None:
         # exact: min only selects a table entry
         profile = run._table[row][:, medoid_rows[cid]].min(axis=1).tolist()
         for pos, dist in enumerate(profile):
-            profile_rows.append([traj.patient_id, cid, pos, repr(dist)])
+            profile_rows.append([traj.patient_id, cid, pos, dist])
     write_csv(
         run.out_dir / "medoid_profiles.csv",
         ("patient_id", "cluster", "position", "distance"),
@@ -514,15 +510,15 @@ def _survival(run: RunResult) -> None:
                 run.out_dir / f"scenarios_cluster_{cid}.csv",
                 ("scenario", "time", "survival"),
                 (
-                    [label, repr(float(t)), repr(float(s))]
+                    [label, t, s]
                     for label, curve in (("best", best), ("worst", worst))
-                    for t, s in zip(curve.times, curve.values)
+                    for t, s in zip(curve.times.tolist(), curve.values.tolist())
                 ),
             )
     write_csv(
         run.out_dir / "metrics.csv",
         ("cluster", "size", "aic", "c_index"),
-        ([m.cluster, m.size, _fmt(m.aic), _fmt(m.c_index)] for m in run.metrics),
+        ([m.cluster, m.size, m.aic, m.c_index] for m in run.metrics),
     )
 
 

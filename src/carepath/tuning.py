@@ -189,7 +189,7 @@ def write_trial_log(path, log: Sequence[TrialRecord]) -> None:
                 rec.trial_index,
                 *rec.weights.as_tuple(),
                 rec.k,
-                repr(rec.score),
+                rec.score,
                 f"{rec.wall_ms:.3f}",
             ]
             for rec in log

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from carepath.codes import DEATH, StayCode
@@ -11,6 +12,7 @@ from carepath.dataio import (
     write_trajectories_csv,
 )
 from carepath.metric import PatientTrajectory
+from carepath.survival import SurvivalRecord
 
 
 def write_lines(path, lines):
@@ -146,6 +148,27 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="bad time_days 'soon'"):
             load_dataset(tpath, cpath)
 
+    def test_first_bad_column_is_named(self, tmp_path):
+        tpath = write_lines(tmp_path / "t.csv", [TRAJ_HEADER, "A,0,05M092"])
+        cpath = write_lines(
+            tmp_path / "c.csv", [COV_HEADER, "A,early,1,0,5,1,soon"]
+        )
+        with pytest.raises(DatasetError, match="row 2: bad birth_year 'early'"):
+            load_dataset(tpath, cpath)
+
+    @pytest.mark.parametrize(
+        "row, width",
+        [("A,1940,1,0,5,1", 6), ("A,1940,1,0,5,1,100.0,extra", 8)],
+        ids=["short", "long"],
+    )
+    def test_wrong_covariate_width_names_row(self, tmp_path, row, width):
+        tpath = write_lines(tmp_path / "t.csv", [TRAJ_HEADER, "A,0,05M092"])
+        cpath = write_lines(
+            tmp_path / "c.csv", [COV_HEADER, "B,1950,2,1,9,0,1825.0", row]
+        )
+        with pytest.raises(DatasetError, match=f"row 3: expected 7 fields, got {width}$"):
+            load_dataset(tpath, cpath)
+
     def test_extra_covariate_rows_are_ignored(self, tmp_path):
         tpath = write_lines(tmp_path / "t.csv", [TRAJ_HEADER, "A,0,05M092"])
         cpath = write_lines(
@@ -171,3 +194,19 @@ class TestLoadDataset:
         _, records = load_dataset(tpath, cpath)
         for got, want in zip(records, small_cohort[1]):
             assert got.time == want.time
+
+    def test_numpy_scalars_round_trip(self, tmp_path):
+        tpath = write_lines(tmp_path / "t.csv", [TRAJ_HEADER, "A,0,05M092"])
+        record = SurvivalRecord(
+            patient_id="A",
+            birth_year=np.int64(1940),
+            sex=1,
+            n_hospitalizations=1,
+            shock_flag=0,
+            total_stay_days=5,
+            time=np.float64(100.5),
+            event=1,
+        )
+        cpath = tmp_path / "c.csv"
+        write_covariates_csv(cpath, [record])
+        assert load_dataset(tpath, cpath)[1] == [record]

@@ -1,6 +1,7 @@
 import re
 from pathlib import Path
 
+from carepath.dataio import COVARIATE_HEADER, TRAJECTORY_HEADER
 from carepath.pipeline import _STEPS, PipelineConfig, apply_config_file
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -33,3 +34,13 @@ def test_readme_lists_the_stages_in_order():
     section = text.split("\n## Pipeline artifacts\n", 1)[1].split("\n## ", 1)[0]
     stages = re.findall(r"^\d+\. `(\w+)` - ", section, flags=re.MULTILINE)
     assert stages == [name for name, _ in _STEPS]
+
+
+def test_readme_names_the_table_columns():
+    text = README.read_text()
+    section = text.split("\n## Data formats\n", 1)[1].split("\n## ", 1)[0]
+    columns = re.findall(r"`(\w+\.csv)` has columns\s+`([\w,]+)`", section)
+    assert dict(columns) == {
+        "trajectories.csv": ",".join(TRAJECTORY_HEADER),
+        "covariates.csv": ",".join(COVARIATE_HEADER),
+    }
