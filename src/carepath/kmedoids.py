@@ -7,14 +7,14 @@ swap ends the search.
 
 Candidates are screened in fixed-size blocks, one medoid slot at a time:
 with the distance to the nearest other medoid held fixed, one array
-operation gives the total distance of every candidate in the block.  A
-candidate's distances, its column of the matrix, are read as a row: of the
-matrix itself when it equals its transpose, else of a transposed copy.  The
-screen is C-ordered, so its row sums are the same pairwise sums as a full
-evaluation, and they are the totals.  An existing medoid scores at least
-``td``, the current total, so it is never taken; the fixed distances do not
-change when the slot swaps, so the rest of the block is scanned against
-the lowered ``td``.
+operation gives the total distance of every candidate in the block.  Each
+column of the matrix, a candidate's or a medoid's distances, is read as a
+row: of the matrix itself when it equals its transpose, else of a
+transposed copy.  The screen is C-ordered, so its row sums are the same
+pairwise sums as a full evaluation, and they are the totals.  An existing
+medoid scores at least ``td``, the current total, so it is never taken; the
+fixed distances do not change when the slot swaps, so the rest of the block
+is scanned against the lowered ``td``.
 """
 
 from __future__ import annotations
@@ -56,21 +56,21 @@ def fit_kmedoids(matrix: np.ndarray, k: int, seed: int) -> Clustering:
     if k > n:
         raise DataError(f"k={k} exceeds point count {n}")
 
+    rows = max(1, min(n, _BLOCK_CELLS // n))
+    mt = _transpose(m, rows)
     rng = np.random.default_rng(seed)
     medoids = np.sort(rng.choice(n, size=k, replace=False))
-    td = float(m[:, medoids].min(axis=1).sum())
+    td = float(mt[medoids].min(axis=0).sum())
     initial_total = td
     history: list[float] = []
 
-    rows = max(1, min(n, _BLOCK_CELLS // n))
-    mt = _transpose(m, rows)
     block = np.empty((rows, n))
     converged = False
     for _ in range(DEFAULT_MAX_SWEEPS):
         improved = False
         medoids.sort()
         for slot in range(k):
-            d_other = m[:, np.delete(medoids, slot)].min(axis=1, initial=np.inf)
+            d_other = mt[np.delete(medoids, slot)].min(axis=0, initial=np.inf)
             for start in range(0, n, rows):
                 stop = min(start + rows, n)
                 screen = block[: stop - start]
@@ -90,12 +90,12 @@ def fit_kmedoids(matrix: np.ndarray, k: int, seed: int) -> Clustering:
             break
 
     medoids.sort()
-    cols = m[:, medoids]
-    assignment = cols.argmin(axis=1)
+    to_medoid = mt[medoids]  # row i: every point's distance to medoid i
+    assignment = to_medoid.argmin(axis=0)
     # force each medoid into its own cluster even if another sits at distance 0
     for cid, mi in enumerate(medoids):
         assignment[mi] = cid
-    dist = cols[np.arange(n), assignment]
+    dist = to_medoid[assignment, np.arange(n)]
     return Clustering(
         k=k,
         medoid_indices=tuple(int(x) for x in medoids),

@@ -50,7 +50,7 @@ class MetricWeights:
 
     def __post_init__(self) -> None:
         w = self.as_tuple()
-        if not all(isinstance(x, int) for x in w):
+        if not all(type(x) is int for x in w):  # not bools, not numpy integers
             raise DataError(f"weights must be integers, got {w!r}")
         if not 0 <= self.severity <= self.counter <= self.care_type <= self.category <= MAX_WEIGHT:
             raise DataError(
@@ -69,10 +69,7 @@ class MetricWeights:
     def from_sequence(cls, values: Sequence[int]) -> "MetricWeights":
         if len(values) != 4:
             raise DataError(f"expected 4 weights, got {len(values)}")
-        for v in values:
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise DataError(f"weights must be integers, got {v!r}")
-        return cls(*(int(v) for v in values))
+        return cls(*(int(v) if isinstance(v, np.integer) else v for v in values))
 
 
 @dataclass(frozen=True)

@@ -87,8 +87,10 @@ class PipelineConfig:
     sankey_pairs: int = 2
 
     def validate(self) -> None:
-        if self.synth_patients < 0:
-            raise DataError("synth_patients must be >= 0")
+        for name, _, least in SETTINGS.values():
+            value = getattr(self, name)
+            if least is not None and value is not None and value < least:
+                raise DataError(f"{name} must be >= {least}")
         synth = self.synth_patients > 0
         files = self.trajectory_csv is not None and self.covariate_csv is not None
         if synth == files:
@@ -98,25 +100,13 @@ class PipelineConfig:
         minimum = len(default_archetypes())  # generate_cohort's smallest cohort
         if synth and self.synth_patients < minimum:
             raise DataError(f"synth_patients must be >= {minimum}, one per archetype")
-        if self.seed < 0:
-            raise DataError("seed must be >= 0")
-        if self.k < 1:
-            raise DataError("k must be >= 1")
-        if self.tune_budget < 0:
-            raise DataError("tune_budget must be >= 0")
+        if not self.horizon_days > 0:  # NaN fails this too
+            raise DataError("horizon_days must be positive")
         if synth and self.tune_budget == 0 and self.k > self.synth_patients:
             raise DataError(f"k={self.k} exceeds point count {self.synth_patients}")
         if not 0.0 < self.test_size < 1.0:
             raise DataError("test_size must be in (0, 1)")
-        if self.trees < 1:
-            raise DataError("trees must be >= 1")
-        if self.mtry is not None and self.mtry < 1:
-            raise DataError("mtry must be >= 1")
         MiningConfig(self.min_support, 1, self.mining_max_len)
-        if self.top_k < 1:
-            raise DataError("top_k must be >= 1")
-        if self.positions < 1 or self.sankey_pairs < 0:
-            raise DataError("bad report geometry")
 
 
 def parse_weights(text: str) -> MetricWeights:
@@ -135,28 +125,31 @@ def _parse_bool(text: str) -> bool:
 
 
 # The one schema of run settings, read from config files and written to
-# manifest.ini in this order: [section] key -> (PipelineConfig field, parser).
+# manifest.ini in this order: [section] key -> (PipelineConfig field, parser,
+# least).  ``least`` is the lowest value ``validate`` accepts, whether or not
+# the run uses the setting, or None for no lower bound here; MiningConfig owns
+# the mining rules.
 SETTINGS = {
-    ("run", "seed"): ("seed", int),
-    ("run", "out"): ("out_dir", str),
-    ("data", "trajectories"): ("trajectory_csv", str),
-    ("data", "covariates"): ("covariate_csv", str),
-    ("data", "synth_patients"): ("synth_patients", int),
-    ("data", "synth_max_len"): ("synth_max_len", int),
-    ("data", "horizon_days"): ("horizon_days", float),
-    ("metric", "weights"): ("weights", parse_weights),
-    ("metric", "tune_budget"): ("tune_budget", int),
-    ("cluster", "k"): ("k", int),
-    ("mining", "min_support"): ("min_support", int),
-    ("mining", "max_len"): ("mining_max_len", int),
-    ("mining", "top_k"): ("top_k", int),
-    ("survival", "trees"): ("trees", int),
-    ("survival", "mtry"): ("mtry", int),
-    ("survival", "test_size"): ("test_size", float),
-    ("survival", "use_age"): ("use_age", _parse_bool),
-    ("survival", "reference_year"): ("reference_year", int),
-    ("report", "positions"): ("positions", int),
-    ("report", "sankey_pairs"): ("sankey_pairs", int),
+    ("run", "seed"): ("seed", int, 0),
+    ("run", "out"): ("out_dir", str, None),
+    ("data", "trajectories"): ("trajectory_csv", str, None),
+    ("data", "covariates"): ("covariate_csv", str, None),
+    ("data", "synth_patients"): ("synth_patients", int, 0),
+    ("data", "synth_max_len"): ("synth_max_len", int, 1),
+    ("data", "horizon_days"): ("horizon_days", float, None),
+    ("metric", "weights"): ("weights", parse_weights, None),
+    ("metric", "tune_budget"): ("tune_budget", int, 0),
+    ("cluster", "k"): ("k", int, 1),
+    ("mining", "min_support"): ("min_support", int, None),
+    ("mining", "max_len"): ("mining_max_len", int, None),
+    ("mining", "top_k"): ("top_k", int, 1),
+    ("survival", "trees"): ("trees", int, 1),
+    ("survival", "mtry"): ("mtry", int, 1),
+    ("survival", "test_size"): ("test_size", float, None),
+    ("survival", "use_age"): ("use_age", _parse_bool, None),
+    ("survival", "reference_year"): ("reference_year", int, None),
+    ("report", "positions"): ("positions", int, 1),
+    ("report", "sankey_pairs"): ("sankey_pairs", int, 0),
 }
 
 
@@ -194,7 +187,7 @@ def apply_config_file(cfg: PipelineConfig, path) -> None:
         spec = SETTINGS.get((section, key))
         if spec is None:
             raise DataError(f"{path}: unknown config key [{section}] {key}")
-        name, parse = spec
+        name, parse, _ = spec
         raw = raw.strip()
         if raw == "":
             continue
@@ -532,7 +525,7 @@ def _manifest(run: RunResult) -> None:
     )
     python = platform.python_version()
     sections = {"versions": {"carepath": __version__, "python": python, "numpy": np.__version__}}
-    for (section, key), (name, _) in SETTINGS.items():
+    for (section, key), (name, _, _) in SETTINGS.items():
         if name not in unused:
             sections.setdefault(section, {})[key] = setting_text(getattr(chosen, name))
     sections["metric"]["tuned"] = setting_text(run.tuned)  # after tune_budget, the last key

@@ -488,6 +488,15 @@ class TestRunCommand:
         assert "horizon_days must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_synth_max_len_fails_before_any_stage(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text("[data]\nsynth_patients = 30\nsynth_max_len = 0\n")
+        out = tmp_path / "artifacts"
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "synth_max_len must be >= 1" in err and "stage" not in err
+        assert not out.exists()
+
     def test_every_flag_sets_its_config_field(self, tmp_path, monkeypatch):
         config = tmp_path / "run.ini"
         config.write_text("[run]\nseed = 9\nout = from-file\n\n[mining]\ntop_k = 7\n")

@@ -52,6 +52,15 @@ class TestWeights:
         with pytest.raises(DataError):
             MetricWeights(85.5, 75, 55, 40)
 
+    def test_constructor_alone_owns_the_integer_rule(self):
+        # a bool would reach manifest.ini as True, which no parser reads back
+        for values in [(True, False, False, False), (np.int64(85), 75, 55, 40)]:
+            with pytest.raises(DataError, match="weights must be integers"):
+                MetricWeights(*values)
+        got = MetricWeights.from_sequence([np.int64(5), 4, 3, 2])
+        assert got.as_tuple() == (5, 4, 3, 2)
+        assert type(got.category) is int
+
     def test_from_sequence(self):
         assert MetricWeights.from_sequence([85, 75, 55, 40]) == WEIGHTS
         with pytest.raises(DataError):

@@ -303,6 +303,26 @@ class TestConfig:
             PipelineConfig(synth_patients=10, mtry=0).validate()
         PipelineConfig(synth_patients=10, mtry=1).validate()
 
+    @pytest.mark.parametrize(
+        "name, least",
+        [(name, least) for name, _, least in pipeline.SETTINGS.values() if least is not None],
+    )
+    def test_each_bounded_setting_is_checked_at_its_bound(self, name, least):
+        # checked whether or not the run uses it: a CSV run draws no cohort
+        source = dict(trajectory_csv="t.csv", covariate_csv="c.csv")
+        with pytest.raises(DataError, match=f"^{name} must be >= {least}$"):
+            PipelineConfig(**source, **{name: least - 1}).validate()
+        PipelineConfig(**source, **{name: least}).validate()
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_horizon_for_any_source(self, horizon):
+        for source in (
+            dict(synth_patients=10),
+            dict(trajectory_csv="t.csv", covariate_csv="c.csv"),
+        ):
+            with pytest.raises(DataError, match="horizon_days must be positive"):
+                PipelineConfig(**source, horizon_days=horizon).validate()
+
     def test_k_above_synthetic_cohort_size(self):
         with pytest.raises(DataError, match="k=11 exceeds point count 10"):
             PipelineConfig(synth_patients=10, k=11).validate()
