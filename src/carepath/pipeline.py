@@ -14,7 +14,7 @@ import configparser
 import platform
 import shutil
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -47,7 +47,7 @@ from .survival import (
     scenario_curves,
 )
 from .synthetic import _derived_seed, default_archetypes, generate_cohort
-from .tuning import ScoreConfig, tune_search, write_trial_log
+from .tuning import K_MAX, ScoreConfig, tune_search, write_trial_log
 
 NONE_TOKEN = "none"
 
@@ -63,28 +63,52 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
+def parse_weights(text: str) -> MetricWeights:
+    """Weights from their ``category,care_type,counter,severity`` text."""
+    try:
+        values = [int(p) for p in text.split(",")]
+    except ValueError:
+        raise DataError("weights must be integers") from None
+    return MetricWeights.from_sequence(values)
+
+
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(text)
+    return text.lower() == "true"
+
+
+def _setting(section: str, key: str, parse, default, least=None):
+    """A ``PipelineConfig`` field that is the run setting ``[section] key``."""
+    return field(default=default, metadata={"key": (section, key), "parse": parse, "least": least})
+
+
+# Each field is one run setting, read from config files and written to
+# manifest.ini in field order.  ``least`` is the lowest value ``validate``
+# accepts, whether or not the run uses the setting, or None for no lower bound
+# here; MiningConfig owns the mining rules.
 @dataclass
 class PipelineConfig:
-    seed: int = 0
-    out_dir: str = "artifacts"
-    trajectory_csv: str | None = None
-    covariate_csv: str | None = None
-    synth_patients: int = 0
-    synth_max_len: int = 8
-    horizon_days: float = 1825.0
-    weights: MetricWeights = DEFAULT_WEIGHTS
-    tune_budget: int = 0
-    k: int = 5
-    min_support: int = 2
-    mining_max_len: int = 3
-    top_k: int = 3
-    trees: int = 100
-    mtry: int | None = None
-    test_size: float = 0.25
-    use_age: bool = False
-    reference_year: int = DEFAULT_REFERENCE_YEAR
-    positions: int = 10
-    sankey_pairs: int = 2
+    seed: int = _setting("run", "seed", int, 0, least=0)
+    out_dir: str = _setting("run", "out", str, "artifacts")
+    trajectory_csv: str | None = _setting("data", "trajectories", str, None)
+    covariate_csv: str | None = _setting("data", "covariates", str, None)
+    synth_patients: int = _setting("data", "synth_patients", int, 0, least=0)
+    synth_max_len: int = _setting("data", "synth_max_len", int, 8, least=1)
+    horizon_days: float = _setting("data", "horizon_days", float, 1825.0)
+    weights: MetricWeights = _setting("metric", "weights", parse_weights, DEFAULT_WEIGHTS)
+    tune_budget: int = _setting("metric", "tune_budget", int, 0, least=0)
+    k: int = _setting("cluster", "k", int, 5, least=1)
+    min_support: int = _setting("mining", "min_support", int, 2)
+    mining_max_len: int = _setting("mining", "max_len", int, 3)
+    top_k: int = _setting("mining", "top_k", int, 3, least=1)
+    trees: int = _setting("survival", "trees", int, 100, least=1)
+    mtry: int | None = _setting("survival", "mtry", int, None, least=1)
+    test_size: float = _setting("survival", "test_size", float, 0.25)
+    use_age: bool = _setting("survival", "use_age", _parse_bool, False)
+    reference_year: int = _setting("survival", "reference_year", int, DEFAULT_REFERENCE_YEAR)
+    positions: int = _setting("report", "positions", int, 10, least=1)
+    sankey_pairs: int = _setting("report", "sankey_pairs", int, 2, least=0)
 
     def validate(self) -> None:
         for name, _, least in SETTINGS.values():
@@ -104,52 +128,17 @@ class PipelineConfig:
             raise DataError("horizon_days must be positive")
         if synth and self.tune_budget == 0 and self.k > self.synth_patients:
             raise DataError(f"k={self.k} exceeds point count {self.synth_patients}")
+        if synth and self.tune_budget > 0 and self.synth_patients < K_MAX:
+            raise DataError(f"tuning needs synth_patients >= {K_MAX}, its largest k")
         if not 0.0 < self.test_size < 1.0:
             raise DataError("test_size must be in (0, 1)")
         MiningConfig(self.min_support, 1, self.mining_max_len)
 
 
-def parse_weights(text: str) -> MetricWeights:
-    """Weights from their ``category,care_type,counter,severity`` text."""
-    try:
-        values = [int(p) for p in text.split(",")]
-    except ValueError:
-        raise DataError("weights must be integers") from None
-    return MetricWeights.from_sequence(values)
-
-
-def _parse_bool(text: str) -> bool:
-    if text.lower() not in ("true", "false"):
-        raise ValueError(text)
-    return text.lower() == "true"
-
-
-# The one schema of run settings, read from config files and written to
-# manifest.ini in this order: [section] key -> (PipelineConfig field, parser,
-# least).  ``least`` is the lowest value ``validate`` accepts, whether or not
-# the run uses the setting, or None for no lower bound here; MiningConfig owns
-# the mining rules.
+# [section] key -> (field, parser, least) in field order; each field needs _setting
 SETTINGS = {
-    ("run", "seed"): ("seed", int, 0),
-    ("run", "out"): ("out_dir", str, None),
-    ("data", "trajectories"): ("trajectory_csv", str, None),
-    ("data", "covariates"): ("covariate_csv", str, None),
-    ("data", "synth_patients"): ("synth_patients", int, 0),
-    ("data", "synth_max_len"): ("synth_max_len", int, 1),
-    ("data", "horizon_days"): ("horizon_days", float, None),
-    ("metric", "weights"): ("weights", parse_weights, None),
-    ("metric", "tune_budget"): ("tune_budget", int, 0),
-    ("cluster", "k"): ("k", int, 1),
-    ("mining", "min_support"): ("min_support", int, None),
-    ("mining", "max_len"): ("mining_max_len", int, None),
-    ("mining", "top_k"): ("top_k", int, 1),
-    ("survival", "trees"): ("trees", int, 1),
-    ("survival", "mtry"): ("mtry", int, 1),
-    ("survival", "test_size"): ("test_size", float, None),
-    ("survival", "use_age"): ("use_age", _parse_bool, None),
-    ("survival", "reference_year"): ("reference_year", int, None),
-    ("report", "positions"): ("positions", int, 1),
-    ("report", "sankey_pairs"): ("sankey_pairs", int, 0),
+    f.metadata["key"]: (f.name, f.metadata["parse"], f.metadata["least"])
+    for f in fields(PipelineConfig)
 }
 
 

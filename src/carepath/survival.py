@@ -18,23 +18,23 @@ loop's ``+=`` does, so every number equals the loop's bit for bit and fits
 and AICs do not move.
 
 Forest trees stay nested dicts.  A tree's leaves start empty and are
-filled once the whole forest is grown, in one pass per block of leaves: a
-``bincount`` over (leaf, time rank) counts records and deaths, and row
-cumulative sums give the risk sets and then the cumulative hazards, of
-which each leaf keeps its death ranks.  The rates add left to right and a
-rank without a death adds 0.0, so each leaf equals its own Nelson-Aalen
-loop bit for bit.  The three forest evaluators (one-record prediction,
-batch risk scores, scenario curves) each make one batched descent that
-routes all rows through each tree with one comparison per split node and
-returns the reached leaves and the id of the leaf each row reaches in each
-tree.  Every grid an evaluator uses holds every jump of the leaves it
-evaluates, so for each block of trees every reached leaf's cumulative
-hazard is read off on the grid once, by selection alone (each jump marks
-its own grid point, and a running maximum carries it forward); the rows
-then gather their leaves' values tree by tree in tree order, the same
-additions as adding each leaf's hazard to its rows.  Every jump is a
-training event time: a one-record prediction evaluates on the event times
-and reads its curve (at the reached jumps) and its risk off that one table.
+filled once the whole forest is grown, in one pass over their records keyed
+by (leaf, time rank), so the work follows the records, not leaves x times:
+the distinct death keys give each leaf's deaths, and a search among the
+sorted keys gives its risk sets.  Each leaf's rates then add left to right,
+so each leaf equals its own Nelson-Aalen loop bit for bit.  The three
+forest evaluators (one-record prediction, batch risk scores, scenario
+curves) each make one batched descent that routes all rows through each
+tree with one comparison per split node and returns the reached leaves and
+the id of the leaf each row reaches in each tree.  Every grid an evaluator
+uses holds every jump of the leaves it evaluates, so for each block of
+trees every reached leaf's cumulative hazard is read off on the grid once,
+by selection alone (each jump marks its own grid point, and a running
+maximum carries it forward); the rows then gather their leaves' values tree
+by tree in tree order, the same additions as adding each leaf's hazard to
+its rows.  Every jump is a training event time: a one-record prediction
+evaluates on the event times and reads its curve (at the reached jumps) and
+its risk off that one table.
 
 A forest ranks its covariates and follow-up times once; bootstrap rows
 index those ranks, so trees grow on integers.  A node's split search scores
@@ -207,9 +207,8 @@ def nelson_aalen(records: Sequence[SurvivalRecord]) -> StepFunction:
         raise DataError("no records")
     T, E = times_events(records)
     times, t = np.unique(T, return_inverse=True)
-    leaf: dict = {}
-    _fill_leaves([(leaf, t, E)], times)
-    return StepFunction(leaf["times"], leaf["chf"], initial=0.0)
+    has, d, n_risk = _risk_table(t, E)
+    return StepFunction(times[has], np.cumsum(d / n_risk), initial=0.0)
 
 
 def c_index(risks: Sequence[float], records: Sequence[SurvivalRecord]) -> float:
@@ -449,30 +448,32 @@ def _fill_leaves(leaves, times) -> None:
     whose time ranks ``t`` index the sorted distinct ``times``: the leaf's
     death times as ``"times"`` and its cumulative hazard there as ``"chf"``.
 
-    One pass per block of at most ``_BLOCK_CELLS`` leaf x rank cells.  A
-    row's cumulative sum adds the rates left to right and the ranks without
-    a death add 0.0, so each leaf's values equal the cumulative sum over its
-    death ranks alone.
+    One pass over all records, each keyed by (leaf, rank).  A death key's
+    records at risk are its leaf's records less those keyed below it.  Each
+    leaf's rates then add left to right, one death rank deeper per step: the
+    additions of the leaf's own Nelson-Aalen loop.
     """
     width = times.size
-    step = max(1, _BLOCK_CELLS // width)
-    for start in range(0, len(leaves), step):
-        block = leaves[start : start + step]
-        sizes = [t.size for _, t, _ in block]
-        cells = np.concatenate([t for _, t, _ in block]) + np.repeat(
-            np.arange(len(block)) * width, sizes
-        )
-        deaths = np.concatenate([E for _, _, E in block]) == 1
-        counts = np.bincount(cells, minlength=len(block) * width).reshape(-1, width)
-        d = np.bincount(cells[deaths], minlength=counts.size).reshape(-1, width)
-        # the records at each rank or later
-        at_risk = np.array(sizes)[:, None] - counts.cumsum(axis=1) + counts
-        rate = np.divide(d, at_risk, out=np.zeros(d.shape), where=d > 0)
-        leaf_of, rank = d.nonzero()
-        jumps, chf = times[rank], rate.cumsum(axis=1)[leaf_of, rank]
-        stops = np.cumsum(np.bincount(leaf_of, minlength=len(block))).tolist()
-        for (leaf, _, _), lo, hi in zip(block, [0] + stops, stops):
-            leaf["times"], leaf["chf"] = jumps[lo:hi], chf[lo:hi]
+    sizes = [t.size for _, t, _ in leaves]
+    ends = np.cumsum(sizes)
+    keys = np.repeat(np.arange(len(leaves)) * width, sizes)
+    keys += np.concatenate([t for _, t, _ in leaves])
+    deaths = np.concatenate([E for _, _, E in leaves]) == 1
+    death_keys, d = np.unique(keys[deaths], return_counts=True)
+    leaf_of = death_keys // width
+    chf = d / (ends[leaf_of] - np.sort(keys).searchsorted(death_keys))
+    # each leaf's deaths are chf[edges[leaf]:edges[leaf + 1]]
+    edges = np.append(0, np.cumsum(np.bincount(leaf_of, minlength=len(leaves))))
+    depth = np.arange(chf.size) - edges[leaf_of]
+    by_depth = np.argsort(depth, kind="stable")
+    bounds = np.cumsum(np.bincount(depth)).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        at = by_depth[lo:hi]
+        chf[at] += chf[at - 1]
+    jumps = times[death_keys % width]
+    edges = edges.tolist()
+    for (leaf, _, _), lo, hi in zip(leaves, edges, edges[1:]):
+        leaf["times"], leaf["chf"] = jumps[lo:hi], chf[lo:hi]
 
 
 def _best_split(codes, t, E, scale, rng, mtry, min_leaf):

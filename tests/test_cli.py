@@ -530,6 +530,14 @@ class TestRunCommand:
         assert "k=40 exceeds point count 30" in err and "stage" not in err
         assert not out.exists()
 
+    def test_tuned_synthetic_run_below_k_max_fails_before_any_stage(self, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        argv = ["run", "--synth", "10", "--tune-budget", "2", "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "synth_patients >= 20" in err and "stage" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("setting", ["top_k", "max_len"])
     def test_bad_mining_setting_fails_before_any_stage(self, tmp_path, capsys, setting):
         config = tmp_path / "run.ini"

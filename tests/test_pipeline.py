@@ -33,6 +33,7 @@ from carepath.pipeline import (
 )
 from carepath.survival import SurvivalRecord, covariate_matrix, cox_fit
 from carepath.synthetic import default_archetypes, generate_cohort
+from carepath.tuning import K_MAX
 
 
 def _traj(pid, *raw):
@@ -303,6 +304,10 @@ class TestConfig:
             PipelineConfig(synth_patients=10, mtry=0).validate()
         PipelineConfig(synth_patients=10, mtry=1).validate()
 
+    def test_settings_are_the_fields_in_order(self):
+        names = [f.name for f in dataclasses.fields(PipelineConfig)]
+        assert [name for name, _, _ in pipeline.SETTINGS.values()] == names
+
     @pytest.mark.parametrize(
         "name, least",
         [(name, least) for name, _, least in pipeline.SETTINGS.values() if least is not None],
@@ -327,8 +332,10 @@ class TestConfig:
         with pytest.raises(DataError, match="k=11 exceeds point count 10"):
             PipelineConfig(synth_patients=10, k=11).validate()
         PipelineConfig(synth_patients=10, k=10).validate()
-        # a tuned run picks its own k; a CSV cohort's size is not known yet
-        PipelineConfig(synth_patients=10, k=11, tune_budget=2).validate()
+        # a tuned run picks its own k, up to K_MAX; a CSV cohort's size is not known yet
+        with pytest.raises(DataError, match=f"synth_patients >= {K_MAX}"):
+            PipelineConfig(synth_patients=K_MAX - 1, k=11, tune_budget=2).validate()
+        PipelineConfig(synth_patients=K_MAX, k=K_MAX + 1, tune_budget=2).validate()
         PipelineConfig(trajectory_csv="t.csv", covariate_csv="c.csv", k=11).validate()
 
 

@@ -265,6 +265,16 @@ def _many_deaths():
     return T, np.ones(30, dtype=int), [np.arange(30), np.arange(3, 30, 2)], 64
 
 
+def _sparse_leaves():
+    # leaves of 1-3 records over 2,400 distinct times, a leaf with 40
+    # distinct death times and a leaf without a death
+    n = 2400
+    T = np.random.default_rng(0).permutation(n) + 1.0
+    E = (np.arange(n) % 3 > 0).astype(int)
+    small = [np.arange(i, n, 800)[: 1 + i % 3] for i in range(800)]
+    return T, E, small + [np.flatnonzero(E)[:40], np.flatnonzero(E == 0)[:5]], 64
+
+
 class TestLeafMatchesNelsonAalen:
     """Leaves filled in one pass on the forest's time ranks must each hold
     the plain-loop Nelson-Aalen estimate of their own records, bit for bit."""
@@ -290,6 +300,7 @@ class TestLeafMatchesNelsonAalen:
         (np.array([4.0, 6.0, 8.0]), np.array([1, 1, 1]), [np.array([2, 0, 2]), np.array([1])], 1)
     )
     @example(_many_deaths())
+    @example(_sparse_leaves())
     def test_same_times_and_hazards(self, sample):
         T, E, leaf_rows, cells = sample
         _, t, scale = _forest_ranks(np.zeros((len(T), 1)), T)
