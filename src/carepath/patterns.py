@@ -6,7 +6,8 @@ ordered tuple of items matched as a not-necessarily-contiguous subsequence.
 Support counts the sequences that contain the pattern at least once.
 
 One mining pass also records which sequences contain each pattern; that
-incidence gives every pattern's support in every group of sequences at once.
+incidence gives every pattern's support in every group of sequences at once,
+and ``frequent_patterns`` ranks its whole-database supports.
 """
 
 from __future__ import annotations
@@ -57,13 +58,6 @@ def support(db: Sequence[Sequence[str]], pattern: Iterable[str]) -> int:
     return sum(1 for seq in db if _contains(seq, pat))
 
 
-def _check_db(db) -> list[list[str]]:
-    out = [list(seq) for seq in db]
-    if any(not seq for seq in out):
-        raise DataError("sequence database contains an empty sequence")
-    return out
-
-
 def frequent_patterns(
     db: Sequence[Sequence[str]], cfg: MiningConfig
 ) -> list[MinedPattern]:
@@ -71,51 +65,11 @@ def frequent_patterns(
 
     Results are sorted by support descending, then pattern ascending.
     """
-    found = _mine(_check_db(db), cfg.max_len, cfg.min_support)
-    # the miner emits patterns in ascending order, so a stable sort on
-    # support alone breaks ties by pattern
-    out = [MinedPattern(p, len(ids)) for p, ids in found if len(p) >= cfg.min_len]
-    out.sort(key=lambda m: -m.support)
-    if cfg.top_k is not None:
-        out = out[: cfg.top_k]
-    return out
-
-
-def _mine(seqs, max_len: int, min_support: int) -> list[tuple[Pattern, list[int]]]:
-    """Depth-first PrefixSpan over ``seqs``.
-
-    Returns ``(pattern, ids)`` for every pattern of at most ``max_len``
-    items that at least ``min_support`` sequences contain; ``ids`` are
-    those sequences' indices, ascending.  Patterns come out in ascending
-    (lexicographic) order: each is emitted before its extensions, and
-    siblings are visited in sorted item order.
-    """
-    out: list[tuple[Pattern, list[int]]] = []
-    # (prefix, projection): each sequence holding prefix, and where the
-    # rest of the sequence starts after the prefix's first occurrence
-    stack = [((), [(i, 0) for i in range(len(seqs))])]
-    while stack:
-        prefix, projection = stack.pop()
-        if prefix:
-            out.append((prefix, [seq_idx for seq_idx, _ in projection]))
-        if len(prefix) == max_len:
-            continue
-        # project every item on its first occurrence after each start at once
-        narrowed: dict[object, list[tuple[int, int]]] = {}
-        for seq_idx, start in projection:
-            seq = seqs[seq_idx]
-            seen = set()
-            for pos in range(start, len(seq)):
-                item = seq[pos]
-                if item not in seen:
-                    seen.add(item)
-                    narrowed.setdefault(item, []).append((seq_idx, pos + 1))
-        # pushed in reverse, so the smallest item is popped first
-        for item in sorted(narrowed, reverse=True):
-            projected = narrowed[item]
-            if len(projected) >= min_support:
-                stack.append((prefix + (item,), projected))
-    return out
+    table = _incidence(db, cfg.max_len, cfg.min_support)
+    ids = np.flatnonzero(table.lengths >= cfg.min_len)
+    # ids ascend by pattern, so a stable sort on support alone breaks ties by pattern
+    ranked = ids[np.argsort(-table.counts[ids], kind="stable")][: cfg.top_k]
+    return [MinedPattern(table.patterns[p], int(table.counts[p])) for p in ranked]
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,15 +118,51 @@ class _Incidence:
 
 
 def _incidence(seqs: Sequence[Sequence], max_len: int, min_support: int = 1) -> _Incidence:
-    """Mine ``seqs`` once, keeping the ids of the sequences holding each pattern."""
-    found = _mine(seqs, max_len, min_support)
-    counts = np.array([len(ids) for _, ids in found], dtype=np.intp)
+    """Mine ``seqs`` once by depth-first PrefixSpan, keeping the ids of the
+    sequences holding each pattern.
+
+    Every pattern of at most ``max_len`` items that at least ``min_support``
+    sequences contain gets an id.  Patterns come out in ascending
+    (lexicographic) order: each is emitted before its extensions, and
+    siblings are visited in sorted item order.
+    """
+    if any(not seq for seq in seqs):
+        raise DataError("sequence database contains an empty sequence")
+    patterns: list[Pattern] = []
+    counts: list[int] = []
+    sid: list[int] = []
+    # (prefix, projection): each sequence holding prefix, and where the
+    # rest of the sequence starts after the prefix's first occurrence
+    stack = [((), [(i, 0) for i in range(len(seqs))])]
+    while stack:
+        prefix, projection = stack.pop()
+        if prefix:
+            patterns.append(prefix)
+            counts.append(len(projection))
+            sid.extend([seq_idx for seq_idx, _ in projection])
+        if len(prefix) == max_len:
+            continue
+        # project every item on its first occurrence after each start at once
+        narrowed: dict[object, list[tuple[int, int]]] = {}
+        for seq_idx, start in projection:
+            seq = seqs[seq_idx]
+            seen = set()
+            for pos in range(start, len(seq)):
+                item = seq[pos]
+                if item not in seen:
+                    seen.add(item)
+                    narrowed.setdefault(item, []).append((seq_idx, pos + 1))
+        # pushed in reverse, so the smallest item is popped first
+        for item in sorted(narrowed, reverse=True):
+            projected = narrowed[item]
+            if len(projected) >= min_support:
+                stack.append((prefix + (item,), projected))
     return _Incidence(
-        patterns=[p for p, _ in found],
-        lengths=np.array([len(p) for p, _ in found], dtype=np.intp),
-        counts=counts,
-        pid=np.repeat(np.arange(len(found), dtype=np.intp), counts),
-        sid=np.array([s for _, ids in found for s in ids], dtype=np.intp),
+        patterns=patterns,
+        lengths=np.array([len(p) for p in patterns], dtype=np.intp),
+        counts=np.array(counts, dtype=np.intp),
+        pid=np.repeat(np.arange(len(patterns), dtype=np.intp), counts),
+        sid=np.array(sid, dtype=np.intp),
     )
 
 

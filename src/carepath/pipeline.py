@@ -154,8 +154,9 @@ def setting_text(value) -> str:
 
 
 def _ini() -> configparser.ConfigParser:
-    # no interpolation: '%' in a value, such as an input path, is literal
-    return configparser.ConfigParser(interpolation=None)
+    # no interpolation: '%' in a value, such as an input path, is literal; a
+    # default section no header can name makes [DEFAULT] an ordinary section
+    return configparser.ConfigParser(interpolation=None, default_section="\n")
 
 
 def apply_config_file(cfg: PipelineConfig, path) -> None:

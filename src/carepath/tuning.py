@@ -34,7 +34,7 @@ from .errors import DataError
 from .kmedoids import fit_kmedoids
 from .metric import MAX_WEIGHT, MetricWeights, PatientTrajectory
 from .metric import _code_table, _encode_cohort, _matrix
-from .patterns import _check_db, _incidence, _Incidence
+from .patterns import _incidence, _Incidence
 
 K_MIN = 2
 K_MAX = 20
@@ -77,12 +77,11 @@ def cluster_score(
     within-cluster and whole-dataset relative frequencies; lengths with no
     patterns at all drop out of that cluster's average.
     """
-    seqs = _check_db(db)
-    if len(labels) != len(seqs):
+    if len(labels) != len(db):
         raise DataError("labels and database must have the same length")
-    if not seqs:
+    if not db:
         raise DataError("sequence database is empty")
-    return _score(_incidence(seqs, max(cfg.lengths)), labels, cfg, n_clusters)
+    return _score(_incidence(db, max(cfg.lengths)), labels, cfg, n_clusters)
 
 
 def _score(

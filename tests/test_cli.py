@@ -1,4 +1,6 @@
 import configparser
+import csv
+import io
 import os
 import shutil
 import subprocess
@@ -8,9 +10,12 @@ from pathlib import Path
 import pytest
 
 import carepath
+import helpers
 from carepath import cli
 from carepath.errors import DataError, NumericError
+from carepath.dataio import load_trajectories
 from carepath.metric import MetricWeights
+from carepath.patterns import render_pattern
 from carepath.pipeline import PipelineConfig, StageError
 
 
@@ -228,6 +233,27 @@ class TestCommands:
         assert code == 0
         assert target.read_text().startswith("count,frequency,pattern")
 
+    @pytest.mark.parametrize("top_k", [None, 6])
+    @pytest.mark.parametrize("max_len", [2, 3])
+    @pytest.mark.parametrize("min_support", [1, 4])
+    def test_mine_rows_are_the_oracle_ranking(self, tmp_path, capsys, min_support, max_len, top_k):
+        out = synth_dir(tmp_path, n=30)
+        trajectories = out / "trajectories.csv"
+        capsys.readouterr()  # drop the synth chatter
+        argv = ["mine", "--trajectories", str(trajectories)]
+        argv += ["--min-support", str(min_support), "--max-len", str(max_len)]
+        if top_k is not None:
+            argv += ["--top-k", str(top_k)]
+        assert cli.main(argv) == 0
+        db = [t.renderings() for t in load_trajectories(trajectories)]
+        supports = helpers.oracle_pattern_supports(db, max_len)
+        # support descending, then pattern ascending
+        ranked = sorted((-count, p) for p, count in supports.items() if count >= min_support)
+        want = [["count", "frequency", "pattern"]] + [
+            [str(-neg), f"{-neg / len(db):.6f}", render_pattern(p)] for neg, p in ranked[:top_k]
+        ]
+        assert list(csv.reader(io.StringIO(capsys.readouterr().out))) == want
+
     def test_dist_writes_matrix_and_binary(self, tmp_path):
         out = synth_dir(tmp_path, n=20)
         mpath = tmp_path / "m.csv"
@@ -427,6 +453,29 @@ class TestRunCommand:
         config = tmp_path / "run.ini"
         config.write_text("[run]\nseed = 1\n\n[cluster]\nsize = 3\n")
         assert cli.main(["run", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[DEFAULT]\nk = 7\n", "[DEFAULT]\ntrees = 7\n\n[run]\nseed = 1\n"],
+        ids=["alone", "beside-run"],
+    )
+    def test_default_section_key_is_unknown(self, tmp_path, capsys, text):
+        config = tmp_path / "run.ini"
+        config.write_text(text)
+        out = tmp_path / "artifacts"
+        argv = ["run", "--config", str(config), "--synth", "40", "--trees", "2"]
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config key [DEFAULT] " in err and "stage" not in err
+        assert not out.exists()
+
+    def test_non_boolean_use_age_is_a_data_error(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text("[data]\nsynth_patients = 30\n\n[survival]\nuse_age = yes\n")
+        out = tmp_path / "artifacts"
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert "bad value 'yes' for [survival] use_age" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unreadable_config_is_a_data_error(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "none.ini")]) == 2

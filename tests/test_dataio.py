@@ -115,6 +115,13 @@ class TestLoadDataset:
         assert trajectories == small_cohort[0]
         assert records == small_cohort[1]
 
+    def test_blank_rows_are_skipped(self, tmp_path, small_cohort):
+        tpath, cpath = self.cohort_files(tmp_path, small_cohort)
+        want = load_dataset(tpath, cpath)
+        for path in (tpath, cpath):
+            path.write_text("\n\n".join(path.read_text().splitlines()) + "\n\n")
+        assert load_dataset(tpath, cpath) == want
+
     def test_missing_covariate_row_names_patient(self, tmp_path):
         tpath = write_lines(tmp_path / "t.csv", [TRAJ_HEADER, "A,0,05M092"])
         cpath = write_lines(

@@ -179,6 +179,10 @@ class TestDistanceMatrix:
                 want = trajectory_distance(trajectories[i], trajectories[j], WEIGHTS)
                 assert m[i, j] == want
 
+    def test_empty_cohort_rejected(self):
+        with pytest.raises(DataError, match="cohort is empty"):
+            distance_matrix([], WEIGHTS)
+
     def test_symmetric_zero_diagonal(self, small_cohort):
         trajectories = small_cohort[0][:30]
         m = distance_matrix(trajectories, WEIGHTS)

@@ -402,6 +402,11 @@ class TestForestPrediction:
         with pytest.raises(DataError, match=f"5 columns, got {length}"):
             rsf_predict(forest, [1950.0, 1.0, 3.0, 0.0, 20.0, 1.0, 1.0][:length])
 
+    def test_covariate_matrix_is_a_data_error(self, fitted):
+        forest, records = fitted
+        with pytest.raises(DataError, match="flat vector"):
+            rsf_predict(forest, [record_covariates(records[0])])
+
     def test_prediction_averages_reached_leaves(self, fitted):
         forest, records = fitted
         x = record_covariates(records[7])

@@ -164,6 +164,10 @@ class TestNelsonAalen:
         assert na.times.tolist() == o_times
         assert np.allclose(na.values, o_vals, atol=1e-12)
 
+    def test_no_records_rejected(self):
+        with pytest.raises(DataError, match="no records"):
+            nelson_aalen([])
+
 
 @st.composite
 def _follow_ups(draw):
@@ -214,6 +218,12 @@ class TestCIndex:
         records = make_records([1.0, 2.0], [0, 0])
         with pytest.raises(NumericError):
             c_index([1.0, 2.0], records)
+
+    def test_misaligned_risks_rejected(self):
+        records = make_records([1.0, 2.0, 3.0], [1, 1, 0])
+        for risks in ([1.0, 2.0], [[1.0, 2.0, 3.0]]):
+            with pytest.raises(DataError, match="must align"):
+                c_index(risks, records)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(3)

@@ -142,6 +142,15 @@ def test_spec_validation():
         ArchetypeSpec(**{**spec.__dict__, "birth_year_range": (1980, 1960)})
 
 
+def test_spec_rejects_zero_pool_weight_and_negative_stay():
+    spec = blob_archetypes()[0]
+    (code, _), *rest = spec.code_pool
+    with pytest.raises(DataError, match="pool weights must be positive"):
+        ArchetypeSpec(**{**spec.__dict__, "code_pool": ((code, 0.0), *rest)})
+    with pytest.raises(DataError, match="mean_stay_days must be >= 0"):
+        ArchetypeSpec(**{**spec.__dict__, "mean_stay_days": -1.0})
+
+
 def test_death_cannot_be_pooled_or_anchor():
     spec = blob_archetypes()[0]
     pooled = ArchetypeSpec(**{**spec.__dict__, "code_pool": (("Death", 1.0),)})
