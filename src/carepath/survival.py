@@ -22,19 +22,19 @@ filled once the whole forest is grown, in one pass over their records keyed
 by (leaf, time rank), so the work follows the records, not leaves x times:
 the distinct death keys give each leaf's deaths, and a search among the
 sorted keys gives its risk sets.  Each leaf's rates then add left to right,
-so each leaf equals its own Nelson-Aalen loop bit for bit.  The three
-forest evaluators (one-record prediction, batch risk scores, scenario
-curves) each make one batched descent that routes all rows through each
-tree with one comparison per split node and returns the reached leaves and
-the id of the leaf each row reaches in each tree.  Every grid an evaluator
-uses holds every jump of the leaves it evaluates, so for each block of
-trees every reached leaf's cumulative hazard is read off on the grid once,
-by selection alone (each jump marks its own grid point, and a running
-maximum carries it forward); the rows then gather their leaves' values tree
-by tree in tree order, the same additions as adding each leaf's hazard to
-its rows.  Every jump is a training event time: a one-record prediction
-evaluates on the event times and reads its curve (at the reached jumps) and
-its risk off that one table.
+so each leaf equals its own Nelson-Aalen loop bit for bit.  One function
+evaluates the forest: the ensemble cumulative hazard of covariate rows on a
+grid.  One batched descent routes all rows through each tree with one
+comparison per split node and returns the reached leaves and the id of the
+leaf each row reaches in each tree.  Every grid holds every training event
+time, hence every leaf jump, so for each block of trees every reached
+leaf's cumulative hazard is read off on the grid once, by selection alone
+(each jump marks its own grid point, and a running maximum carries it
+forward); the rows then gather their leaves' values tree by tree in tree
+order and are divided by the tree count once.  Scenario curves evaluate on
+zero plus the event times.  A risk score is the sum of the ensemble hazard
+over the event times; a one-record prediction is the one-row case, and its
+curve keeps the event times where the hazard rises.
 
 A forest ranks its covariates and follow-up times once; bootstrap rows
 index those ranks, so trees grow on integers.  A node's split search scores
@@ -351,7 +351,8 @@ def cox_fit(
     stops before (``max_iter`` reached or the line search stalled) has
     ``converged`` false.  A coefficient passing +-50 raises
     :class:`SeparationError` and a singular information matrix raises
-    :class:`DegenerateCovariatesError`.
+    :class:`DegenerateCovariatesError`; covariates without a column or with a
+    non-finite entry raise :class:`DataError`.
     """
     if covariates is None:
         X = covariate_matrix(records, use_age=use_age, reference_year=reference_year)
@@ -362,6 +363,8 @@ def cox_fit(
     T, E = times_events(records)
     if X.shape[0] != len(T):
         raise DataError("covariate rows and records must align")
+    if X.shape[1] == 0 or not np.isfinite(X).all():
+        raise DataError("covariates need at least one column and finite values only")
     if int(E.sum()) < 2:
         raise DataError("need at least two events to fit")
 
@@ -655,50 +658,46 @@ def _leaf_values(leaves, grid: np.ndarray) -> np.ndarray:
     return chf[np.maximum.accumulate(last, axis=1)]
 
 
-def _hazard_sums(reached, grid: np.ndarray, summed: bool = False) -> np.ndarray:
-    """Per row of a :func:`_reached_leaves` descent, the reached leaves'
-    cumulative hazards on ``grid``, added tree by tree in tree order.
+def _mean_cumhaz(forest: SurvivalForest, X: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Each raw covariate row's ensemble cumulative hazard on ``grid``: its
+    reached leaves' hazards added tree by tree, divided by the tree count once.
 
     Each reached leaf is evaluated once, in one table per block of trees
-    holding at most ``_BLOCK_CELLS`` leaf x grid cells (or one tree).  With
-    ``summed`` each leaf's hazard is first summed over ``grid`` and every row
-    gets one number.
+    holding at most ``_BLOCK_CELLS`` leaf x grid cells (or one tree).
     """
-    ids, leaves, first = reached
-    n_trees, n_rows = ids.shape
-    acc = np.zeros(n_rows if summed else (n_rows, grid.size))
+    ids, leaves, first = _reached_leaves(forest, X)
+    n_trees = len(forest.trees)
+    acc = np.zeros((len(X), grid.size))
     cap = max(1, _BLOCK_CELLS // max(grid.size, 1))
     start = 0
     while start < n_trees:
         stop = max(start + 1, int(first.searchsorted(first[start] + cap, side="right")) - 1)
         lo = first[start]
         values = _leaf_values(leaves[lo : first[stop]], grid)
-        if summed:
-            # C-ordered rows sum like the 1-D sum of one leaf's values
-            values = values.sum(axis=1)
         for index in range(start, stop):
             acc += values[ids[index] - lo]
         start = stop
-    return acc
+    return acc / n_trees
 
 
 def rsf_predict(forest: SurvivalForest, covariates) -> tuple[StepFunction, float]:
-    """Ensemble survival curve and risk score for one covariate vector.
+    """Ensemble survival curve and risk score for one covariate vector: the
+    one-row case of :func:`rsf_risk_scores`.
 
-    The cumulative hazard is the tree average evaluated on the union of the
-    reached leaves' jump times; survival is its exponential decay, and the
-    risk score sums the cumulative hazard over the training event-time grid.
+    The risk score is the sum of the ensemble cumulative hazard over the
+    training event times.  The curve is its exponential decay at the event
+    times where that hazard rises; every leaf jump adds ``d / n > 0``, so
+    these are the reached leaves' jump times.
     """
     x = np.array(covariates, dtype=float)
     if x.ndim != 1:
         raise DataError("covariates must be a flat vector")
     if x.size != _N_COVARIATES:
         raise DataError(f"covariates must have {_N_COVARIATES} columns, got {x.size}")
-    reached = _reached_leaves(forest, x[None, :])
-    grid = np.unique(np.concatenate([leaf["times"] for leaf in reached[1]]))
-    chf = _hazard_sums(reached, forest.event_times)[0] / len(forest.trees)
-    curve = np.exp(-chf[forest.event_times.searchsorted(grid)])
-    return StepFunction(grid, curve, initial=1.0), float(chf.sum())
+    chf = _mean_cumhaz(forest, x[None, :], forest.event_times)[0]
+    rises = np.diff(chf, prepend=0.0) > 0.0
+    curve = StepFunction(forest.event_times[rises], np.exp(-chf[rises]), initial=1.0)
+    return curve, float(chf.sum())
 
 
 def rsf_risk_scores(
@@ -706,12 +705,12 @@ def rsf_risk_scores(
 ) -> np.ndarray:
     """Risk scores of many records, one batched descent per tree.
 
-    A record's score is the tree average of its reached leaf's cumulative
-    hazard summed over the training event times; each leaf's sum is
-    computed once.  Equals the risk of :func:`rsf_predict` up to rounding.
+    A record's score is the sum of its ensemble cumulative hazard over the
+    training event times (the ensemble mortality of Ishwaran et al., 2008),
+    and equals the risk of :func:`rsf_predict` on its covariates exactly.
     """
-    reached = _reached_leaves(forest, covariate_matrix(records))
-    return _hazard_sums(reached, forest.event_times, summed=True) / len(forest.trees)
+    # C-ordered rows sum like the 1-D sum of one row
+    return _mean_cumhaz(forest, covariate_matrix(records), forest.event_times).sum(axis=1)
 
 
 def scenario_curves(
@@ -726,9 +725,7 @@ def scenario_curves(
     if not records:
         raise DataError("no records")
     grid = np.unique(np.concatenate([[0.0], forest.event_times]))
-    reached = _reached_leaves(forest, covariate_matrix(records))
-    chf = _hazard_sums(reached, grid) / len(forest.trees)
-    surv = np.exp(-chf)
+    surv = np.exp(-_mean_cumhaz(forest, covariate_matrix(records), grid))
     areas = _trapezoid(surv, grid, axis=1)
     best = StepFunction(grid, surv[int(np.argmax(areas))], initial=1.0)
     worst = StepFunction(grid, surv[int(np.argmin(areas))], initial=1.0)

@@ -481,20 +481,6 @@ def oracle_rsf_predict(forest, covariates):
     return StepFunction(grid, np.exp(-chf), initial=1.0), risk
 
 
-def oracle_rsf_risk_scores(forest, records) -> np.ndarray:
-    """Per record, the tree average of the reached leaf's hazard summed
-    over the training event times, added tree by tree."""
-    out = np.empty(len(records))
-    for i, rec in enumerate(records):
-        x = _forest_input(forest, record_covariates(rec))
-        total = 0.0
-        for tree in forest.trees:
-            leaf = walk_tree(tree, x)
-            total += float(_steps_at(leaf["times"], leaf["chf"], forest.event_times).sum())
-        out[i] = total / len(forest.trees)
-    return out
-
-
 def oracle_scenario_curves(forest, records):
     """Each member predicted on its own, re-evaluated on zero plus the
     event times and ranked by trapezoidal area; ties keep the earliest."""

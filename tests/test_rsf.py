@@ -248,21 +248,20 @@ _BLOCK_SIZES = [1, 7, 64, survival._BLOCK_CELLS]
 
 @st.composite
 def _leaf_samples(draw):
-    """Times and events of a sample, the bootstrap rows of several leaves
-    and a block size for the leaf pass."""
+    """Times and events of a sample and the bootstrap rows of several leaves."""
     n = draw(st.integers(1, 40))
     T = _draw_ints(draw, n, 1, draw(st.sampled_from([1, 3, 12, 60]))).astype(float)
     E = (_draw_ints(draw, n, 0, 9) < draw(st.integers(0, 10))).astype(int)
     rows = st.lists(st.integers(0, n - 1), min_size=1, max_size=n).map(np.array)
     leaves = draw(st.lists(rows, min_size=1, max_size=6))
-    return T, E, leaves, draw(st.sampled_from(_BLOCK_SIZES))
+    return T, E, leaves
 
 
 def _many_deaths():
     # 30 deaths at distinct times: long rows of rates that pairwise and
     # left-to-right sums round apart
     T = np.arange(1.0, 31.0)
-    return T, np.ones(30, dtype=int), [np.arange(30), np.arange(3, 30, 2)], 64
+    return T, np.ones(30, dtype=int), [np.arange(30), np.arange(3, 30, 2)]
 
 
 def _sparse_leaves():
@@ -272,7 +271,7 @@ def _sparse_leaves():
     T = np.random.default_rng(0).permutation(n) + 1.0
     E = (np.arange(n) % 3 > 0).astype(int)
     small = [np.arange(i, n, 800)[: 1 + i % 3] for i in range(800)]
-    return T, E, small + [np.flatnonzero(E)[:40], np.flatnonzero(E == 0)[:5]], 64
+    return T, E, small + [np.flatnonzero(E)[:40], np.flatnonzero(E == 0)[:5]]
 
 
 class TestLeafMatchesNelsonAalen:
@@ -292,21 +291,19 @@ class TestLeafMatchesNelsonAalen:
                 np.array([3, 7, 7]),  # deaths at ranks 1 and 5 only
                 np.array([0, 2]),  # deaths at rank 2 only, between those
             ],
-            7,
         )
     )
-    @example((np.array([5.0, 2.0, 7.0]), np.array([0, 0, 0]), [np.array([0, 2])], 1))
+    @example((np.array([5.0, 2.0, 7.0]), np.array([0, 0, 0]), [np.array([0, 2])]))
     @example(
-        (np.array([4.0, 6.0, 8.0]), np.array([1, 1, 1]), [np.array([2, 0, 2]), np.array([1])], 1)
+        (np.array([4.0, 6.0, 8.0]), np.array([1, 1, 1]), [np.array([2, 0, 2]), np.array([1])])
     )
     @example(_many_deaths())
     @example(_sparse_leaves())
     def test_same_times_and_hazards(self, sample):
-        T, E, leaf_rows, cells = sample
+        T, E, leaf_rows = sample
         _, t, scale = _forest_ranks(np.zeros((len(T), 1)), T)
         leaves = [({}, t[rows], E[rows]) for rows in leaf_rows]
-        with mock.patch.object(survival, "_BLOCK_CELLS", cells):
-            _fill_leaves(leaves, scale[-1])
+        _fill_leaves(leaves, scale[-1])
         for (leaf, _, _), rows in zip(leaves, leaf_rows):
             times, chf = helpers.oracle_nelson_aalen(T[rows], E[rows])
             assert set(leaf) == {"times", "chf"}
@@ -451,7 +448,7 @@ class TestForestPrediction:
         singles = [
             rsf_predict(forest, record_covariates(r))[1] for r in records[:40]
         ]
-        assert np.allclose(batch, singles, rtol=1e-10, atol=1e-10)
+        assert np.array_equal(batch, singles)
 
 
 class TestScenarioCurves:
@@ -491,7 +488,8 @@ class TestBatchedEvaluatorsMatchOracles:
         assert_same_curve(best, want_best)
         assert_same_curve(worst, want_worst)
         risks = rsf_risk_scores(forest, group)
-        assert np.array_equal(risks, helpers.oracle_rsf_risk_scores(forest, group))
+        want = [helpers.oracle_rsf_predict(forest, record_covariates(r))[1] for r in group]
+        assert np.array_equal(risks, want)
         for r in group[:12]:
             surv, risk = rsf_predict(forest, record_covariates(r))
             want_surv, want_risk = helpers.oracle_rsf_predict(forest, record_covariates(r))

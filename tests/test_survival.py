@@ -24,6 +24,7 @@ from carepath.survival import (
     record_covariates,
     times_events,
 )
+from carepath.synthetic import generate_cohort
 
 
 def make_records(times, events, shocks=None):
@@ -162,7 +163,7 @@ class TestNelsonAalen:
         na = nelson_aalen(make_records(times, events))
         o_times, o_vals = helpers.oracle_nelson_aalen(times, events)
         assert na.times.tolist() == o_times
-        assert np.allclose(na.values, o_vals, atol=1e-12)
+        assert np.array_equal(na.values, o_vals)
 
     def test_no_records_rejected(self):
         with pytest.raises(DataError, match="no records"):
@@ -366,6 +367,19 @@ class TestCox:
     def test_covariate_row_mismatch(self):
         with pytest.raises(DataError):
             cox_fit(make_records([1.0, 2.0], [1, 1]), covariates=np.zeros((3, 1)))
+
+    def test_no_covariate_column_is_a_data_error(self):
+        records = generate_cohort(40, seed=1)[1]
+        with pytest.raises(DataError, match="at least one column"):
+            cox_fit(records, covariates=np.zeros((40, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_covariates_are_a_data_error(self, bad):
+        records = generate_cohort(40, seed=1)[1]
+        X = covariate_matrix(records)
+        X[:, 2] = bad
+        with pytest.raises(DataError, match="finite values only"):
+            cox_fit(records, covariates=X)
 
     def test_default_fit_converges(self, midsize_cohort):
         model = cox_fit(midsize_cohort[1])
