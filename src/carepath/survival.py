@@ -37,19 +37,33 @@ over the event times; a one-record prediction is the one-row case, and its
 curve keeps the event times where the hazard rises.
 
 A forest ranks its covariates and follow-up times once; bootstrap rows
-index those ranks, so trees grow on integers.  A node's split search scores
-every threshold of all drawn covariates in one pass (the log-rank split
-rule of Ishwaran et al., 2008).  The node's levels are the forest levels
-present in it, so its midpoint thresholds are the same floats; its columns
-are its death times, and each record falls in the last one at or before its
-time.  One ``bincount`` over (level, column) counts records and deaths;
-cumulative sums over each covariate's levels and then over columns give the
-left group's deaths and risk sets for every threshold.  The statistic's
-numerator and variance are row sums that add in the order of the 1-D sums
-of the per-threshold reference (``oracle_best_split`` in
-``tests/helpers.py``), and the first maximum in (covariate, threshold) order
-wins, so the trees equal those of a per-threshold search.  A node with fewer
-than ``2 * min_leaf`` records still draws its covariates, then stays a leaf.
+index those ranks, so trees grow on integers.  Its trees grow in lockstep:
+each step takes the next node, in pre-order, of every unfinished tree.  A
+node of at least ``min_samples_split`` records draws its covariates from its
+own tree's generator, so every tree makes a recursive grower's draws in the
+same order, and the step's nodes of at least ``2 * min_leaf`` records are
+searched together (the log-rank split rule of Ishwaran et al., 2008).  The
+search keys their records by (node, time rank) for each node's death
+columns, deaths and risk sets.  It sorts one entry per (record, drawn
+covariate) by (node, level): a node's levels of one covariate are a
+segment, each midpoint of two adjacent levels is a threshold (the same
+floats as in a per-node search), and a threshold's left group is the head
+of its segment, counted by (threshold, death column).  Every count is an
+integer, so it is exact in any layout; the statistic's terms are
+element-wise in the reference's order of operations; and its only float
+reductions, the numerator and variance row sums, are taken over C-ordered
+blocks of rows of one length, so each row adds like the 1-D sums of the
+per-threshold reference (``oracle_best_split`` in ``tests/helpers.py``).
+The variance's row holds the node's ok columns, those with more than one
+record at risk; the count at risk falls from column to column, so these
+are all columns but at most the last, and that column's 0/0 never enters
+the arithmetic.  Each node takes its first maximum in (covariate,
+threshold) order, so the trees are those of the recursive per-threshold
+grower (``oracle_rsf_trees``).  The search holds at most ``_SPLIT_CELLS``
+entries per chunk of nodes and about as many cells per batch of thresholds,
+so its temporaries stay near a third of a megabyte however many trees grow
+together.  A node with fewer than ``2 * min_leaf`` records still draws its
+covariates, then stays a leaf.
 """
 
 from __future__ import annotations
@@ -67,6 +81,11 @@ SEPARATION_BOUND = 50.0
 DEFAULT_MIN_SAMPLES_SPLIT = 10
 DEFAULT_MIN_SAMPLES_LEAF = 15
 _N_COVARIATES = 5  # the columns of covariate_matrix
+# the forest's split search holds about ten 8-byte temporaries per (record,
+# covariate) entry or left-group cell, so a batch of 4096 stays near the
+# 0.3 MB that a 60-record node's search took alone; larger batches were no
+# faster on 100-tree forests of 55-90 records and raised the peak
+_SPLIT_CELLS = 1 << 12
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -434,8 +453,7 @@ class SurvivalForest:
 def _forest_ranks(X: np.ndarray, T: np.ndarray):
     """Each row's codes into the forest's levels (every column's sorted distinct
     values, column after column), its time's rank among the sorted distinct
-    times, and ``(levels, column of each level, first level of that column,
-    times)``."""
+    times, and ``(levels, column of each level, times)``."""
     columns = [np.unique(column, return_inverse=True) for column in X.T]
     sizes = [levels.size for levels, _ in columns]
     starts = np.cumsum([0] + sizes[:-1])
@@ -443,7 +461,7 @@ def _forest_ranks(X: np.ndarray, T: np.ndarray):
     codes = np.column_stack([inverse for _, inverse in columns]) + starts
     times, t = np.unique(T, return_inverse=True)
     levels = np.concatenate([levels for levels, _ in columns])
-    return codes, t, (levels, owner, starts[owner], times)
+    return codes, t, (levels, owner, times)
 
 
 def _fill_leaves(leaves, times) -> None:
@@ -479,76 +497,195 @@ def _fill_leaves(leaves, times) -> None:
         leaf["times"], leaf["chf"] = jumps[lo:hi], chf[lo:hi]
 
 
-def _best_split(codes, t, E, scale, rng, mtry, min_leaf):
-    n, p = codes.shape
-    feats = np.sort(rng.choice(p, size=min(mtry, p), replace=False))
-    if n < 2 * min_leaf:
-        return None
-    levels, owner, first, _ = scale
-    events = E == 1
-    # the node's event times are its columns; a record's column is one past
-    # the last event time at or before its time, so column 0 is never at risk
-    cols, d_e, y_e = _risk_table(t, E)
-    m = cols.size + 1
-    col = cols.searchsorted(t, side="right")
+def _draw_covariates(rng, p: int, mtry: int) -> np.ndarray:
+    # the one draw a node makes from its tree's generator
+    return np.sort(rng.choice(p, size=min(mtry, p), replace=False))
+
+
+def _spans(starts, counts) -> np.ndarray:
+    """The ranges ``starts[i]`` to ``starts[i] + counts[i]``, one after another."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts, counts)
+
+
+def _row_sums(terms, lengths) -> np.ndarray:
+    """Sums of the consecutive rows of flat ``terms`` with non-decreasing
+    ``lengths`` (at least one row).  The rows of one length are summed as one
+    C-ordered block, so each row adds like the 1-D sum of that row alone."""
+    sums = np.empty(lengths.size)
+    offsets = np.append(0, np.cumsum(lengths)).tolist()
+    cuts = ((lengths[1:] != lengths[:-1]).nonzero()[0] + 1).tolist()
+    for a, b in zip([0] + cuts, cuts + [lengths.size]):
+        rows = terms[offsets[a] : offsets[b]].reshape(b - a, int(lengths[a]))
+        sums[a:b] = rows.sum(axis=1)
+    return sums
+
+
+def _log_rank(col, dead, starts, n_left, cols, oks, d, y, first) -> np.ndarray:
+    """Log-rank statistics of thresholds in ascending (``cols``, ``oks``) order.
+
+    A threshold's left group is its entries ``starts`` to ``starts + n_left``
+    of ``col`` (death columns) and ``dead`` (death flags).  Its node's
+    ``cols`` death columns hold ``d`` deaths and ``y`` records at risk from
+    ``first`` on, and the first ``oks`` have more than one record at risk.
+    """
+    # one flat row of columns 0 to cols per threshold counts its left group
+    row_start = np.cumsum(cols + 1) - cols - 1
+    left = _spans(starts, n_left)
+    cells = np.repeat(row_start, n_left) + col[left]
+    size = int(row_start[-1] + cols[-1] + 1)
+    below = np.bincount(cells, minlength=size).cumsum()
+    deaths = np.bincount(cells[dead[left]], minlength=size)
+    # the left records at risk at death column j are the row's records less
+    # those in columns 0 to j; the left deaths there are in column j + 1
+    edge = np.zeros(size, dtype=bool)
+    edge[row_start + cols] = True
+    at_risk_left = np.repeat(np.cumsum(n_left), cols) - below[~edge]
+    edge[:] = False
+    edge[row_start] = True
+    deaths_left = deaths[~edge]
+    at = _spans(first, cols)
+    d_e, y_e = d[at], y[at]
+    frac = at_risk_left / y_e
+    num = _row_sums(deaths_left - d_e * frac, cols)
     ok = y_e > 1
-    d_ok, y_ok = d_e[ok], y_e[ok]
+    d_ok, y_ok, frac = d_e[ok], y_e[ok], frac[ok]
+    var = _row_sums(d_ok * frac * (1.0 - frac) * (y_ok - d_ok) / (y_ok - 1.0), oks)
+    return np.abs(num) / np.sqrt(np.where(var > 0.0, var, np.inf))
 
-    # (records, deaths) x level x column counts over the drawn covariates'
-    # levels; the other covariates' levels stay empty
-    cells = codes[:, feats] * m + col[:, None]
-    size = levels.size * m
-    both = np.concatenate((cells.ravel(), cells[events].ravel() + size))
-    counts = np.bincount(both, minlength=2 * size).reshape(2, levels.size, m)
-    per_level = counts[0].sum(axis=1)
-    present = per_level.nonzero()[0]
-    pairs = (owner[present[:-1]] == owner[present[1:]]).nonzero()[0]
-    lo, hi = present[pairs], present[pairs + 1]
-    thresholds = (levels[lo] + levels[hi]) / 2.0
+
+def _chunk_splits(codes, t, E, scale, rows, feats, min_leaf) -> list:
+    """:func:`_best_splits` of one chunk of nodes."""
+    levels, owner, times = scale
+    width, n_levels = times.size, levels.size
+    splits: list = [None] * len(rows)
+    sizes = np.array([r.size for r in rows])
+    node = np.repeat(np.arange(sizes.size), sizes)
+    rec = np.concatenate(rows)
+    # each node's death columns, keyed by (node, time rank): its deaths, and
+    # its records at risk (those keyed at or above the death key)
+    keys = node * width + t[rec]
+    dead = E[rec] == 1
+    death_keys, d = np.unique(keys[dead], return_counts=True)
+    death_node = death_keys // width
+    y = np.cumsum(sizes)[death_node] - np.sort(keys).searchsorted(death_keys)
+    n_deaths = np.bincount(death_node, minlength=sizes.size)
+    d_first = np.cumsum(n_deaths) - n_deaths
+    # a record's column is one past the last death at or before its time, so
+    # column 0 is never at risk
+    col = death_keys.searchsorted(keys, side="right") - d_first[node]
+    # the count at risk falls from each death column to the next, so the ok
+    # columns (more than one at risk) are all but at most the last
+    n_ok = np.bincount(death_node[y > 1], minlength=sizes.size)
+    # one entry per (record, drawn covariate), sorted by (node, level): a
+    # node's levels of one covariate are a segment, and each level present a
+    # row of equal keys
+    q = len(feats[0])
+    keys = (node[:, None] * n_levels + codes[rec[:, None], np.array(feats)[node]]).ravel()
+    order = keys.argsort()
+    keys = keys[order]
+    col, dead = col[order // q], dead[order // q]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    row_node, row_level = np.divmod(keys[starts], n_levels)
+    ends = np.append(starts[1:], keys.size)
+    row_owner = owner[row_level]
+    new = np.r_[True, (row_node[1:] != row_node[:-1]) | (row_owner[1:] != row_owner[:-1])]
+    segment = starts[np.maximum.accumulate(np.where(new, np.arange(new.size), 0))]
+    # each threshold lies between two adjacent rows of a segment
+    lo = (~new[1:]).nonzero()[0]
+    thresholds = (levels[row_level[lo]] + levels[row_level[lo + 1]]) / 2.0
     # last level <= each threshold (adjacent floats' midpoint may be the upper one)
-    rows = np.where(thresholds < levels[hi], lo, hi)
-    # cumulated over levels, less the levels of earlier covariates: row i
-    # counts the node's records at or below level i of its covariate
-    below = per_level.cumsum()
-    n_left = below[rows] - below[first[rows]] + per_level[first[rows]]
-    valid = (n_left >= min_leaf) & (n - n_left >= min_leaf)
-    if not valid.any():
-        return None
-    rows, thresholds = rows[valid], thresholds[valid]
-    cum = counts.cumsum(axis=1)
-    left = cum[:, rows] - cum[:, first[rows]] + counts[:, first[rows]]
-    in1 = left[0].cumsum(axis=1)
-    frac = (in1[:, -1:] - in1[:, :-1]) / y_e
-    num = (left[1][:, 1:] - d_e * frac).sum(axis=1)
-    # a column mask yields a Fortran-ordered copy, whose rows would sum in
-    # another order than the 1-D sums of the per-threshold log-rank statistic
-    frac = np.ascontiguousarray(frac[:, ok])
-    var = (d_ok * frac * (1.0 - frac) * (y_ok - d_ok) / (y_ok - 1.0)).sum(axis=1)
-    stat = np.abs(num) / np.sqrt(np.where(var > 0.0, var, np.inf))
-    j = int(stat.argmax())
-    if not stat[j] > 0.0:
-        return None
-    feature = int(owner[rows[j]])
-    return feature, float(thresholds[j]), codes[:, feature] <= rows[j]
+    split = np.where(thresholds < levels[row_level[lo + 1]], lo, lo + 1)
+    n_left = ends[split] - segment[split]
+    of = row_node[split]
+    # a node without a death never splits
+    valid = (n_left >= min_leaf) & (sizes[of] - n_left >= min_leaf) & (n_deaths[of] > 0)
+    # the valid thresholds in ascending (death count, ok count) of their node,
+    # so that the row sums of one length are consecutive
+    index = valid.nonzero()[0]
+    if not index.size:
+        return splits
+    index = index[np.lexsort((n_ok[of[index]], n_deaths[of[index]]))]
+    split, thresholds, n_left, of = split[index], thresholds[index], n_left[index], of[index]
+    cols, oks = n_deaths[of], n_ok[of]
+    # batches of about _SPLIT_CELLS left-group entries and flat columns
+    batch = (np.cumsum(n_left + cols + 1) - 1) // _SPLIT_CELLS
+    cuts = ((batch[1:] != batch[:-1]).nonzero()[0] + 1).tolist()
+    stat = np.empty(index.size)
+    for a, b in zip([0] + cuts, cuts + [index.size]):
+        stat[a:b] = _log_rank(
+            col, dead, segment[split[a:b]], n_left[a:b], cols[a:b], oks[a:b], d, y,
+            d_first[of[a:b]],
+        )
+    # each node's first maximum in (covariate, threshold) order
+    best = np.lexsort((index, -stat, of))
+    best = best[np.r_[True, of[best][1:] != of[best][:-1]]]
+    best = best[stat[best] > 0.0]
+    level = row_level[split[best]]
+    for i, feature, threshold, at in zip(
+        of[best].tolist(), owner[level].tolist(), thresholds[best].tolist(), level.tolist()
+    ):
+        splits[i] = (feature, threshold, at)
+    return splits
 
 
-def _grow(codes, t, E, scale, rng, mtry, min_split, min_leaf, leaves) -> dict:
-    # a leaf starts empty; its records go to ``leaves`` for :func:`_fill_leaves`
-    split = None
-    if len(t) >= min_split:
-        split = _best_split(codes, t, E, scale, rng, mtry, min_leaf)
-    if split is None:
-        leaf: dict = {}
-        leaves.append((leaf, t, E))
-        return leaf
-    feature, threshold, mask = split
-    args = (scale, rng, mtry, min_split, min_leaf, leaves)
-    return {
-        "feature": feature,
-        "threshold": threshold,
-        "left": _grow(codes[mask], t[mask], E[mask], *args),
-        "right": _grow(codes[~mask], t[~mask], E[~mask], *args),
-    }
+def _best_splits(codes, t, E, scale, rows, feats, min_leaf) -> list:
+    """The log-rank split of each node, given by its sample ``rows`` and its
+    drawn covariates ``feats``: ``(covariate, threshold, level)``, whose left
+    child holds the records coded at most ``level`` in that covariate, or None.
+
+    The nodes are searched in chunks of at most ``_SPLIT_CELLS`` (record,
+    covariate) entries, or of one node.
+    """
+    splits: list = []
+    a = held = 0
+    for i, entries in enumerate(r.size * len(f) for r, f in zip(rows, feats)):
+        if held and held + entries > _SPLIT_CELLS:
+            splits += _chunk_splits(codes, t, E, scale, rows[a:i], feats[a:i], min_leaf)
+            a, held = i, 0
+        held += entries
+    return splits + _chunk_splits(codes, t, E, scale, rows[a:], feats[a:], min_leaf)
+
+
+def _lockstep_trees(codes, t, E, scale, rngs, boots, mtry, min_split, min_leaf, leaves) -> list:
+    """Grow one tree per generator on its bootstrap ``boots`` rows, in lockstep.
+
+    Each step takes the next node of every unfinished tree in pre-order.  A
+    node of at least ``min_split`` records draws its covariates from its
+    tree's generator; the nodes of the step with at least ``2 * min_leaf``
+    records are then searched together.  Each tree makes its draws in the
+    order of a recursive grower, so it is that grower's tree.  A leaf starts
+    empty; its records go to ``leaves`` for :func:`_fill_leaves`.
+    """
+    p = codes.shape[1]
+    trees: list[dict] = [{} for _ in boots]
+    # each tree's pending (node, sample rows), the next one last
+    growing = [(rng, [(tree, rows)]) for rng, tree, rows in zip(rngs, trees, boots)]
+    while growing:
+        search = []
+        for rng, stack in growing:
+            node, rows = stack.pop()
+            if rows.size >= min_split:
+                feats = _draw_covariates(rng, p, mtry)
+                if rows.size >= 2 * min_leaf:
+                    search.append((stack, node, rows, feats))
+                    continue
+            leaves.append((node, t[rows], E[rows]))
+        if search:
+            found = _best_splits(
+                codes, t, E, scale, [s[2] for s in search], [s[3] for s in search], min_leaf
+            )
+            for (stack, node, rows, _), split in zip(search, found):
+                if split is None:
+                    leaves.append((node, t[rows], E[rows]))
+                    continue
+                feature, threshold, level = split
+                left = codes[rows, feature] <= level
+                node.update(feature=feature, threshold=threshold, left={}, right={})
+                stack.append((node["right"], rows[~left]))
+                stack.append((node["left"], rows[left]))
+        growing = [g for g in growing if g[1]]
+    return trees
 
 
 def rsf_fit(
@@ -564,9 +701,10 @@ def rsf_fit(
     """Grow a random survival forest on bootstrap samples of ``records``.
 
     Each tree draws its own generator from ``(seed, tree_index)``, takes a
-    with-replacement bootstrap of size n, and recursively picks the
-    (feature, midpoint-threshold) split maximizing the two-sample log-rank
-    statistic among ``mtry`` randomly chosen covariates.  Leaves keep the
+    with-replacement bootstrap of size n, and at each node, in pre-order,
+    picks the (feature, midpoint-threshold) split maximizing the two-sample
+    log-rank statistic among ``mtry`` randomly chosen covariates.  The trees
+    grow in lockstep, and each equals its recursive growth.  Leaves keep the
     Nelson-Aalen cumulative hazard of the records that reached them.
     """
     if n_estimators < 1:
@@ -582,18 +720,12 @@ def rsf_fit(
         raise DataError("mtry must be >= 1")
 
     codes, t, scale = _forest_ranks(X, T)
-    trees: list[dict] = []
-    boots: list[np.ndarray] = []
+    rngs = [np.random.default_rng([seed, tree_index]) for tree_index in range(n_estimators)]
+    boots = [rng.integers(0, n, size=n) for rng in rngs]
     leaves: list = []
-    for tree_index in range(n_estimators):
-        rng = np.random.default_rng([seed, tree_index])
-        idx = rng.integers(0, n, size=n)
-        boots.append(idx)
-        grown = _grow(
-            codes[idx], t[idx], E[idx], scale, rng, mtry, min_samples_split,
-            min_samples_leaf, leaves,
-        )
-        trees.append(grown)
+    trees = _lockstep_trees(
+        codes, t, E, scale, rngs, boots, mtry, min_samples_split, min_samples_leaf, leaves
+    )
     _fill_leaves(leaves, scale[-1])
     return SurvivalForest(
         trees=trees,
@@ -724,7 +856,10 @@ def scenario_curves(
     """
     if not records:
         raise DataError("no records")
-    grid = np.unique(np.concatenate([[0.0], forest.event_times]))
+    # the event times are sorted and distinct; a death at time 0 (either sign)
+    # gives way to the grid's own +0.0
+    times = forest.event_times
+    grid = np.concatenate([[0.0], times[1:] if times.size and times[0] == 0.0 else times])
     surv = np.exp(-_mean_cumhaz(forest, covariate_matrix(records), grid))
     areas = _trapezoid(surv, grid, axis=1)
     best = StepFunction(grid, surv[int(np.argmax(areas))], initial=1.0)

@@ -15,7 +15,14 @@ from carepath.errors import DataError
 from carepath.kmedoids import Clustering
 from carepath.metric import MetricWeights, PatientTrajectory, code_distance
 from carepath.patterns import MiningConfig, frequent_patterns, render_pattern, support
-from carepath.survival import StepFunction, record_covariates
+from carepath.survival import (
+    DEFAULT_MIN_SAMPLES_LEAF,
+    DEFAULT_MIN_SAMPLES_SPLIT,
+    DEFAULT_REFERENCE_YEAR,
+    StepFunction,
+    covariate_matrix,
+    record_covariates,
+)
 from carepath.synthetic import ArchetypeSpec
 from carepath.tuning import ScoreConfig
 
@@ -445,6 +452,53 @@ def oracle_best_split(X, T, E, rng, mtry, min_leaf):
                 best_stat = stat
                 best = (int(f), float(thr), mask)
     return best
+
+
+def oracle_rsf_trees(
+    records,
+    n_estimators: int,
+    mtry: int | None = None,
+    seed: int = 0,
+    min_samples_split: int = DEFAULT_MIN_SAMPLES_SPLIT,
+    min_samples_leaf: int = DEFAULT_MIN_SAMPLES_LEAF,
+    use_age: bool = False,
+    reference_year: int = DEFAULT_REFERENCE_YEAR,
+):
+    """The recursive forest grower, on the raw covariates.
+
+    Each tree draws its bootstrap from ``default_rng([seed, tree_index])``,
+    then grows depth first, left subtree before right: a node of at least
+    ``min_samples_split`` records is searched by ``oracle_best_split`` with
+    the tree's generator, and a leaf holds the plain-loop Nelson-Aalen
+    estimate of its records.  Returns ``(trees, bootstraps, event_times)``.
+    """
+    X = covariate_matrix(records, use_age=use_age, reference_year=reference_year)
+    T = np.array([r.time for r in records], dtype=float)
+    E = np.array([r.event for r in records], dtype=int)
+    n, p = X.shape
+    mtry = int(np.ceil(np.sqrt(p))) if mtry is None else mtry
+
+    def grow(rows, rng):
+        split = None
+        if len(rows) >= min_samples_split:
+            split = oracle_best_split(X[rows], T[rows], E[rows], rng, mtry, min_samples_leaf)
+        if split is None:
+            times, chf = oracle_nelson_aalen(T[rows], E[rows])
+            return {"times": np.array(times, dtype=float), "chf": np.array(chf, dtype=float)}
+        feature, threshold, mask = split
+        return {
+            "feature": feature,
+            "threshold": threshold,
+            "left": grow(rows[mask], rng),
+            "right": grow(rows[~mask], rng),
+        }
+
+    trees, boots = [], []
+    for tree_index in range(n_estimators):
+        rng = np.random.default_rng([seed, tree_index])
+        boots.append(rng.integers(0, n, size=n))
+        trees.append(grow(boots[-1], rng))
+    return trees, boots, np.unique(T[E == 1])
 
 
 def walk_tree(node, x):

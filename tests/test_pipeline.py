@@ -2,8 +2,12 @@ import configparser
 import csv
 import dataclasses
 import hashlib
+import os
 import platform
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -768,3 +772,27 @@ class TestManifestRoundTrip:
             cfg, out_dir=PipelineConfig.out_dir, weights=result.weights, k=result.k
         )
         assert self.read_back(result, tmp_path) == want
+
+
+def test_cli_child_runs_with_warnings_as_errors_and_without_numpy_ma(tmp_path):
+    # pytest's RuntimeWarning filter does not reach a child process; the
+    # import log shows every module the run loads
+    proc = subprocess.run(
+        [
+            sys.executable, "-X", "importtime", "-W", "error", "-m", "carepath.cli", "run",
+            "--synth", "120", "--k", "3", "--trees", "10", "--seed", "4",
+            "--out", str(tmp_path / "out"),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": str(Path(carepath.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    imported = {
+        line.rpartition("|")[2].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "numpy" in imported
+    assert "numpy.ma" not in imported

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import pickle
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,7 +16,8 @@ from carepath import survival
 from carepath.errors import DataError
 from carepath.survival import (
     SurvivalRecord,
-    _best_split,
+    _best_splits,
+    _draw_covariates,
     _fill_leaves,
     _forest_ranks,
     record_covariates,
@@ -191,11 +194,16 @@ def _node_without_middle_levels():
 
 
 def split_of(X, T, E, rng, mtry, min_leaf, rows=None):
-    """``_best_split`` on ``rows`` of a sample ranked as a forest's (all rows
-    by default)."""
+    """The batched split search on one node, ``rows`` of a sample ranked as a
+    forest's (all rows by default), after the node's covariate draw."""
     rows = np.arange(len(T)) if rows is None else rows
     codes, t, scale = _forest_ranks(X, T)
-    return _best_split(codes[rows], t[rows], E[rows], scale, rng, mtry, min_leaf)
+    feats = _draw_covariates(rng, X.shape[1], mtry)
+    split = _best_splits(codes, t, E, scale, [rows], [feats], min_leaf)[0]
+    if split is None:
+        return None
+    feature, threshold, level = split
+    return feature, threshold, codes[rows, feature] <= level
 
 
 def assert_split_matches_oracle(node, rows=None):
@@ -241,6 +249,56 @@ class TestSplitSearchMatchesOracle:
         below, at = _node(9, 5, [1] * 9), _node(10, 5, [1] * 10)
         assert split_of(*below[:3], np.random.default_rng(1), 3, 5) is None
         assert split_of(*at[:3], np.random.default_rng(1), 3, 5) is not None
+
+
+@st.composite
+def _node_batches(draw):
+    """Nodes of one sample, of mixed sizes and so of mixed death-column
+    counts, each with its own generator seed, and a split-search budget.
+    Mirrored samples tie complementary splits, which only rows summed in
+    the oracle's order break alike."""
+    X, T, E, mtry, min_leaf, seed = draw(st.one_of(_split_nodes(), _mirrored_nodes()))
+    n = len(T)
+    sizes = st.integers(1, n)
+    nodes = draw(
+        st.lists(
+            st.one_of(
+                st.just(np.arange(n)),
+                sizes.map(lambda k: np.arange(n - k, n)),
+                st.lists(st.integers(0, n - 1), min_size=1, max_size=n).map(np.array),
+            ),
+            min_size=2,
+            max_size=9,
+        )
+    )
+    cells = draw(st.sampled_from([1, 7, 64, survival._SPLIT_CELLS, 1 << 20]))
+    return (X, T, E, mtry, min_leaf, seed), nodes, cells
+
+
+class TestBatchedSplitSearch:
+    """Nodes searched together must each get the split the per-threshold
+    loop gives that node alone, whatever the batch budget."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(_node_batches())
+    def test_each_node_matches_the_oracle(self, batch):
+        (X, T, E, mtry, min_leaf, seed), nodes, cells = batch
+        codes, t, scale = _forest_ranks(X, T)
+        rngs = [np.random.default_rng([seed, i]) for i in range(len(nodes))]
+        feats = [_draw_covariates(rng, X.shape[1], mtry) for rng in rngs]
+        with mock.patch.object(survival, "_SPLIT_CELLS", cells):
+            found = _best_splits(codes, t, E, scale, nodes, feats, min_leaf)
+        assert len(found) == len(nodes)
+        for i, (rows, split) in enumerate(zip(nodes, found)):
+            oracle_rng = np.random.default_rng([seed, i])
+            want = helpers.oracle_best_split(X[rows], T[rows], E[rows], oracle_rng, mtry, min_leaf)
+            assert rngs[i].bit_generator.state == oracle_rng.bit_generator.state
+            if want is None:
+                assert split is None
+            else:
+                feature, threshold, level = split
+                assert (feature, threshold) == want[:2]
+                assert np.array_equal(codes[rows, feature] <= level, want[2])
 
 
 _BLOCK_SIZES = [1, 7, 64, survival._BLOCK_CELLS]
@@ -467,6 +525,21 @@ class TestScenarioCurves:
         best, worst = scenario_curves(forest, twins)
         assert np.array_equal(best.values, worst.values)
 
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "negative-zero"])
+    def test_death_at_time_zero_keeps_the_grid_bits(self, midsize_cohort, zero):
+        # the grid is +0.0 and the event times after a leading zero of either sign
+        records = midsize_cohort[1][:40]
+        records = [dataclasses.replace(records[0], time=zero, event=1)] + records[1:]
+        forest = rsf_fit(records, n_estimators=4, seed=2)
+        assert forest.event_times[0] == 0.0
+        assert np.signbit(forest.event_times[0]) == np.signbit(zero)
+        got = scenario_curves(forest, records[:10])
+        want = helpers.oracle_scenario_curves(forest, records[:10])
+        for curve, oracle in zip(got, want):
+            assert curve.times.tobytes() == oracle.times.tobytes()
+            assert curve.values.tobytes() == oracle.values.tobytes()
+        assert not np.signbit(got[0].times[0])
+
     def test_empty_group_rejected(self, fitted):
         forest, _ = fitted
         with pytest.raises(DataError):
@@ -610,15 +683,96 @@ class TestPinnedTrees:
         assert forest_digest(forest.trees) == self.PINNED[key]
 
 
-class TestBlockSizes:
-    """The leaf pass and the leaf-value tables work in blocks; any block
-    size must give the same trees and the same predictions."""
+@st.composite
+def _forest_cohorts(draw):
+    """A small cohort with coarse covariates, tied and censored times, and
+    forest settings."""
+    n = draw(st.integers(4, 80))
+    pools = ([1940, 1952, 1961, 1975, 1988], [1, 2], [1, 2, 3, 5], [0, 1], [2, 6, 9, 30])
+    columns = [_draw_ints(draw, n, 0, len(pool) - 1) for pool in pools]
+    if draw(st.booleans()):
+        # shock_flag mirrors sex, and the hospitalization count falls with
+        # the birth year: complementary splits tie up to their last bits
+        columns[3] = 1 - columns[1]
+        columns[2] = 3 - np.minimum(columns[0], 3)
+    n_times = draw(st.sampled_from([2, 6, 25, 300]))
+    times = _draw_ints(draw, n, 1, n_times)
+    # event rate in tenths
+    events = (_draw_ints(draw, n, 0, 9) < draw(st.integers(0, 10))).astype(int)
+    records = [
+        SurvivalRecord(
+            patient_id=f"P{i}",
+            birth_year=pools[0][columns[0][i]],
+            sex=pools[1][columns[1][i]],
+            n_hospitalizations=pools[2][columns[2][i]],
+            shock_flag=pools[3][columns[3][i]],
+            total_stay_days=pools[4][columns[4][i]],
+            time=float(times[i]),
+            event=int(events[i]),
+        )
+        for i in range(n)
+    ]
+    settings_ = dict(
+        n_estimators=draw(st.integers(1, 12)),
+        mtry=draw(st.integers(1, 5)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        min_samples_split=draw(st.integers(2, 20)),
+        min_samples_leaf=draw(st.integers(1, 15)),
+        use_age=draw(st.booleans()),
+    )
+    return records, settings_
 
-    @pytest.mark.parametrize("cells", _BLOCK_SIZES)
+
+def _mirrored_cohort(seed, n):
+    """Distinct times, shock_flag mirroring sex and the hospitalization count
+    falling with the birth year: complementary splits tie up to their last
+    bits, so summing zero-padded rows flips some of the forest's splits."""
+    rng = np.random.default_rng(seed)
+    birth = rng.integers(0, 4, n)
+    sex = rng.integers(1, 3, n)
+    times = rng.permutation(n) + 1.0
+    events = (rng.random(n) < 0.8).astype(int)
+    records = [
+        SurvivalRecord(
+            f"P{i}", 1950 + 10 * int(birth[i]), int(sex[i]), 4 - int(birth[i]),
+            2 - int(sex[i]), 7, float(times[i]), int(events[i]),
+        )
+        for i in range(n)
+    ]
+    settings_ = dict(n_estimators=4, mtry=5, seed=0, min_samples_split=4, min_samples_leaf=3)
+    return records, settings_
+
+
+class TestForestMatchesRecursiveOracle:
+    """Trees grown in lockstep and searched in batches must be the trees of
+    the recursive per-threshold grower, with the same bootstraps."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(_forest_cohorts())
+    @example(_mirrored_cohort(0, 30))
+    @example(_mirrored_cohort(5, 16))
+    def test_same_trees_bootstraps_and_event_times(self, cohort):
+        records, kwargs = cohort
+        forest = rsf_fit(records, **kwargs)
+        trees, boots, event_times = helpers.oracle_rsf_trees(records, **kwargs)
+        assert forest_digest(forest.trees) == forest_digest(trees)
+        assert len(forest.bootstrap_indices) == len(boots)
+        for got, want in zip(forest.bootstrap_indices, boots):
+            assert np.array_equal(got, want)
+        assert forest.event_times.tobytes() == event_times.tobytes()
+
+
+class TestBlockSizes:
+    """The split search, the leaf pass and the leaf-value tables work in
+    blocks; any block size must give the same trees and the same predictions."""
+
+    @pytest.mark.parametrize("cells", _BLOCK_SIZES + [1 << 30])
     @pytest.mark.parametrize("key", sorted(TestPinnedTrees.PINNED))
     def test_pinned_trees(self, pinned_cohort, key, cells):
         size, use_age, leaf = key
-        with mock.patch.object(survival, "_BLOCK_CELLS", cells):
+        with mock.patch.object(survival, "_BLOCK_CELLS", cells), mock.patch.object(
+            survival, "_SPLIT_CELLS", cells
+        ):
             forest = rsf_fit(
                 pinned_cohort[size],
                 n_estimators=10,
@@ -627,6 +781,31 @@ class TestBlockSizes:
                 use_age=use_age,
             )
         assert forest_digest(forest.trees) == TestPinnedTrees.PINNED[key]
+
+    def test_one_node_per_batch(self, pinned_cohort):
+        # a budget of one cell searches every node on its own
+        with mock.patch.object(survival, "_SPLIT_CELLS", 1), mock.patch.object(
+            survival, "_chunk_splits", wraps=survival._chunk_splits
+        ) as chunk:
+            forest = rsf_fit(pinned_cohort[400], n_estimators=10, seed=21, min_samples_leaf=5)
+        assert forest_digest(forest.trees) == TestPinnedTrees.PINNED[(400, False, 5)]
+        assert chunk.call_count > 10
+        assert all(len(call.args[4]) == 1 for call in chunk.call_args_list)
+
+    def test_split_search_memory_stays_within_its_batches(self, pinned_cohort):
+        # 10 trees on 400 records: the forest itself takes about 0.5 MB, and
+        # the search about ten 8-byte temporaries per cell of a batch of 4096;
+        # a dense (level, time) table per node took 2.9 MB here, and one
+        # unbounded batch per step 19.6 MB
+        records = pinned_cohort[400]
+        tracemalloc.start()
+        try:
+            rsf_fit(records, n_estimators=10, seed=21, min_samples_leaf=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert survival._SPLIT_CELLS == 4096
+        assert peak <= 600_000 + 16 * 8 * 4096
 
     @pytest.mark.parametrize("cells", _BLOCK_SIZES)
     def test_small_group_forest_of_leaves(self, midsize_cohort, cells):
