@@ -62,8 +62,11 @@ threshold) order, so the trees are those of the recursive per-threshold
 grower (``oracle_rsf_trees``).  The search holds at most ``_SPLIT_CELLS``
 entries per chunk of nodes and about as many cells per batch of thresholds,
 so its temporaries stay near a third of a megabyte however many trees grow
-together.  A node with fewer than ``2 * min_leaf`` records still draws its
-covariates, then stays a leaf.
+together.  A node too large for that (hundreds of records) has batches of
+about ``_SPLIT_THRESHOLDS`` of its thresholds, so it is not scored one
+threshold per pass, and the memory grows with that node alone.  A node with
+fewer than ``2 * min_leaf`` records still draws its covariates, then stays
+a leaf.
 """
 
 from __future__ import annotations
@@ -86,6 +89,12 @@ _N_COVARIATES = 5  # the columns of covariate_matrix
 # 0.3 MB that a 60-record node's search took alone; larger batches were no
 # faster on 100-tree forests of 55-90 records and raised the peak
 _SPLIT_CELLS = 1 << 12
+# a node of thousands of records has thousands of cells per threshold, so a
+# batch may hold 16 of its thresholds: one or two per batch left a 30-tree
+# forest on 3,750 records about as slow as a dense (level, time) table per
+# node, and 16 cut its time by a fifth and peaked under half that table's
+# memory
+_SPLIT_THRESHOLDS = 16
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -608,8 +617,11 @@ def _chunk_splits(codes, t, E, scale, rows, feats, min_leaf) -> list:
     index = index[np.lexsort((n_ok[of[index]], n_deaths[of[index]]))]
     split, thresholds, n_left, of = split[index], thresholds[index], n_left[index], of[index]
     cols, oks = n_deaths[of], n_ok[of]
-    # batches of about _SPLIT_CELLS left-group entries and flat columns
-    batch = (np.cumsum(n_left + cols + 1) - 1) // _SPLIT_CELLS
+    # batches of about _SPLIT_CELLS left-group entries and flat columns, or of
+    # about _SPLIT_THRESHOLDS thresholds of a node too large for that
+    cells = n_left + cols + 1
+    share = cells / np.maximum(_SPLIT_CELLS, _SPLIT_THRESHOLDS * (sizes[of] + cols + 1))
+    batch = (np.cumsum(share) - share).astype(np.intp)
     cuts = ((batch[1:] != batch[:-1]).nonzero()[0] + 1).tolist()
     stat = np.empty(index.size)
     for a, b in zip([0] + cuts, cuts + [index.size]):

@@ -272,7 +272,8 @@ def _node_batches(draw):
         )
     )
     cells = draw(st.sampled_from([1, 7, 64, survival._SPLIT_CELLS, 1 << 20]))
-    return (X, T, E, mtry, min_leaf, seed), nodes, cells
+    per_node = draw(st.sampled_from([0, 1, survival._SPLIT_THRESHOLDS]))
+    return (X, T, E, mtry, min_leaf, seed), nodes, (cells, per_node)
 
 
 class TestBatchedSplitSearch:
@@ -282,11 +283,13 @@ class TestBatchedSplitSearch:
     @settings(max_examples=60, deadline=None, database=None)
     @given(_node_batches())
     def test_each_node_matches_the_oracle(self, batch):
-        (X, T, E, mtry, min_leaf, seed), nodes, cells = batch
+        (X, T, E, mtry, min_leaf, seed), nodes, (cells, per_node) = batch
         codes, t, scale = _forest_ranks(X, T)
         rngs = [np.random.default_rng([seed, i]) for i in range(len(nodes))]
         feats = [_draw_covariates(rng, X.shape[1], mtry) for rng in rngs]
-        with mock.patch.object(survival, "_SPLIT_CELLS", cells):
+        with mock.patch.object(survival, "_SPLIT_CELLS", cells), mock.patch.object(
+            survival, "_SPLIT_THRESHOLDS", per_node
+        ):
             found = _best_splits(codes, t, E, scale, nodes, feats, min_leaf)
         assert len(found) == len(nodes)
         for i, (rows, split) in enumerate(zip(nodes, found)):
@@ -766,13 +769,15 @@ class TestBlockSizes:
     """The split search, the leaf pass and the leaf-value tables work in
     blocks; any block size must give the same trees and the same predictions."""
 
-    @pytest.mark.parametrize("cells", _BLOCK_SIZES + [1 << 30])
+    @pytest.mark.parametrize("cells", _BLOCK_SIZES)
     @pytest.mark.parametrize("key", sorted(TestPinnedTrees.PINNED))
     def test_pinned_trees(self, pinned_cohort, key, cells):
+        # the cell budget alone sizes the split batches, down to one
+        # threshold per batch
         size, use_age, leaf = key
         with mock.patch.object(survival, "_BLOCK_CELLS", cells), mock.patch.object(
             survival, "_SPLIT_CELLS", cells
-        ):
+        ), mock.patch.object(survival, "_SPLIT_THRESHOLDS", 0):
             forest = rsf_fit(
                 pinned_cohort[size],
                 n_estimators=10,
@@ -783,29 +788,49 @@ class TestBlockSizes:
         assert forest_digest(forest.trees) == TestPinnedTrees.PINNED[key]
 
     def test_one_node_per_batch(self, pinned_cohort):
-        # a budget of one cell searches every node on its own
+        # a budget of one cell searches every node on its own, and with no
+        # thresholds per node scores every threshold on its own
         with mock.patch.object(survival, "_SPLIT_CELLS", 1), mock.patch.object(
+            survival, "_SPLIT_THRESHOLDS", 0
+        ), mock.patch.object(
             survival, "_chunk_splits", wraps=survival._chunk_splits
-        ) as chunk:
-            forest = rsf_fit(pinned_cohort[400], n_estimators=10, seed=21, min_samples_leaf=5)
-        assert forest_digest(forest.trees) == TestPinnedTrees.PINNED[(400, False, 5)]
+        ) as chunk, mock.patch.object(
+            survival, "_log_rank", wraps=survival._log_rank
+        ) as log_rank:
+            forest = rsf_fit(pinned_cohort[30], n_estimators=10, seed=21, min_samples_leaf=5)
+        assert forest_digest(forest.trees) == TestPinnedTrees.PINNED[(30, False, 5)]
         assert chunk.call_count > 10
         assert all(len(call.args[4]) == 1 for call in chunk.call_args_list)
+        assert log_rank.call_count > chunk.call_count
+        assert all(call.args[3].size == 1 for call in log_rank.call_args_list)
+
+    def test_large_nodes_score_several_thresholds_per_batch(self, pinned_cohort):
+        # a budget of one cell is below every threshold's cells, yet a node's
+        # batches still hold at least _SPLIT_THRESHOLDS of its thresholds
+        with mock.patch.object(survival, "_SPLIT_CELLS", 1), mock.patch.object(
+            survival, "_log_rank", wraps=survival._log_rank
+        ) as log_rank:
+            forest = rsf_fit(pinned_cohort[400], n_estimators=10, seed=21, min_samples_leaf=5)
+        assert forest_digest(forest.trees) == TestPinnedTrees.PINNED[(400, False, 5)]
+        sizes = [call.args[3].size for call in log_rank.call_args_list]
+        assert max(sizes) >= survival._SPLIT_THRESHOLDS
 
     def test_split_search_memory_stays_within_its_batches(self, pinned_cohort):
         # 10 trees on 400 records: the forest itself takes about 0.5 MB, and
-        # the search about ten 8-byte temporaries per cell of a batch of 4096;
-        # a dense (level, time) table per node took 2.9 MB here, and one
-        # unbounded batch per step 19.6 MB
+        # the search about ten 8-byte temporaries per cell of its largest
+        # batch, whose thresholds hold at most a node's records and death
+        # columns each; a dense (level, time) table per node took 2.9 MB
+        # here, and one unbounded batch per step 19.6 MB
         records = pinned_cohort[400]
+        per_threshold = 2 * len(records) + 1
+        batch = max(survival._SPLIT_CELLS, survival._SPLIT_THRESHOLDS * per_threshold)
         tracemalloc.start()
         try:
             rsf_fit(records, n_estimators=10, seed=21, min_samples_leaf=5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert survival._SPLIT_CELLS == 4096
-        assert peak <= 600_000 + 16 * 8 * 4096
+        assert peak <= 600_000 + 16 * 8 * (batch + per_threshold)
 
     @pytest.mark.parametrize("cells", _BLOCK_SIZES)
     def test_small_group_forest_of_leaves(self, midsize_cohort, cells):
