@@ -92,8 +92,8 @@ _SPLIT_CELLS = 1 << 12
 # a node of thousands of records has thousands of cells per threshold, so a
 # batch may hold 16 of its thresholds: one or two per batch left a 30-tree
 # forest on 3,750 records about as slow as a dense (level, time) table per
-# node, and 16 cut its time by a fifth and peaked under half that table's
-# memory
+# node, and 16 cut its time by a fifth and peaked under a third of that
+# table's memory
 _SPLIT_THRESHOLDS = 16
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -530,14 +530,11 @@ def _row_sums(terms, lengths) -> np.ndarray:
     return sums
 
 
-def _log_rank(col, dead, starts, n_left, cols, oks, d, y, first) -> np.ndarray:
-    """Log-rank statistics of thresholds in ascending (``cols``, ``oks``) order.
-
-    A threshold's left group is its entries ``starts`` to ``starts + n_left``
-    of ``col`` (death columns) and ``dead`` (death flags).  Its node's
-    ``cols`` death columns hold ``d`` deaths and ``y`` records at risk from
-    ``first`` on, and the first ``oks`` have more than one record at risk.
-    """
+def _left_counts(col, dead, starts, n_left, cols):
+    """The left group's records at risk and deaths at each of its node's
+    ``cols`` death columns, threshold after threshold; the left group is
+    entries ``starts`` to ``starts + n_left`` of ``col`` (death columns) and
+    ``dead`` (death flags)."""
     # one flat row of columns 0 to cols per threshold counts its left group
     row_start = np.cumsum(cols + 1) - cols - 1
     left = _spans(starts, n_left)
@@ -552,14 +549,28 @@ def _log_rank(col, dead, starts, n_left, cols, oks, d, y, first) -> np.ndarray:
     at_risk_left = np.repeat(np.cumsum(n_left), cols) - below[~edge]
     edge[:] = False
     edge[row_start] = True
-    deaths_left = deaths[~edge]
+    return at_risk_left, deaths[~edge]
+
+
+def _log_rank(col, dead, starts, n_left, cols, oks, d, y, first) -> np.ndarray:
+    """Log-rank statistics of thresholds in ascending (``cols``, ``oks``) order.
+
+    A threshold's left group is given as to :func:`_left_counts`.  Its node's
+    ``cols`` death columns hold ``d`` deaths and ``y`` records at risk from
+    ``first`` on, and the first ``oks`` have more than one record at risk.
+    """
+    at_risk_left, deaths_left = _left_counts(col, dead, starts, n_left, cols)
     at = _spans(first, cols)
     d_e, y_e = d[at], y[at]
     frac = at_risk_left / y_e
     num = _row_sums(deaths_left - d_e * frac, cols)
+    # the variance needs only the ok columns; dropping the full rows first
+    # keeps the pass's memory near its cells
+    del at_risk_left, deaths_left, at
     ok = y_e > 1
-    d_ok, y_ok, frac = d_e[ok], y_e[ok], frac[ok]
-    var = _row_sums(d_ok * frac * (1.0 - frac) * (y_ok - d_ok) / (y_ok - 1.0), oks)
+    d_e, y_e, frac = d_e[ok], y_e[ok], frac[ok]
+    del ok
+    var = _row_sums(d_e * frac * (1.0 - frac) * (y_e - d_e) / (y_e - 1.0), oks)
     return np.abs(num) / np.sqrt(np.where(var > 0.0, var, np.inf))
 
 
@@ -609,6 +620,8 @@ def _chunk_splits(codes, t, E, scale, rows, feats, min_leaf) -> list:
     of = row_node[split]
     # a node without a death never splits
     valid = (n_left >= min_leaf) & (sizes[of] - n_left >= min_leaf) & (n_deaths[of] > 0)
+    # the batches read only the entries' col and dead
+    del keys, order
     # the valid thresholds in ascending (death count, ok count) of their node,
     # so that the row sums of one length are consecutive
     index = valid.nonzero()[0]
@@ -659,20 +672,28 @@ def _best_splits(codes, t, E, scale, rows, feats, min_leaf) -> list:
     return splits + _chunk_splits(codes, t, E, scale, rows[a:], feats[a:], min_leaf)
 
 
-def _lockstep_trees(codes, t, E, scale, rngs, boots, mtry, min_split, min_leaf, leaves) -> list:
-    """Grow one tree per generator on its bootstrap ``boots`` rows, in lockstep.
+def _lockstep_trees(codes, t, E, scale, seed, n_trees, mtry, min_split, min_leaf, leaves):
+    """Grow ``n_trees`` trees in lockstep; return them and their bootstraps.
 
-    Each step takes the next node of every unfinished tree in pre-order.  A
-    node of at least ``min_split`` records draws its covariates from its
-    tree's generator; the nodes of the step with at least ``2 * min_leaf``
-    records are then searched together.  Each tree makes its draws in the
-    order of a recursive grower, so it is that grower's tree.  A leaf starts
-    empty; its records go to ``leaves`` for :func:`_fill_leaves`.
+    Tree ``i`` draws from its own generator ``default_rng([seed, i])``: first
+    its bootstrap, then one covariate draw per node of at least
+    ``min_split`` records.  Each step takes the next node of every
+    unfinished tree in pre-order, and the nodes of the step with at least
+    ``2 * min_leaf`` records are searched together.  Each tree makes its
+    draws in the order of a recursive grower, so it is that grower's tree.
+    A finished tree drops its generator.  A leaf starts empty; its records
+    go to ``leaves`` for :func:`_fill_leaves`.
     """
-    p = codes.shape[1]
-    trees: list[dict] = [{} for _ in boots]
-    # each tree's pending (node, sample rows), the next one last
-    growing = [(rng, [(tree, rows)]) for rng, tree, rows in zip(rngs, trees, boots)]
+    n, p = codes.shape
+    trees: list[dict] = []
+    boots: list[np.ndarray] = []
+    # each tree's generator and pending (node, sample rows), the next one last
+    growing = []
+    for tree_index in range(n_trees):
+        rng = np.random.default_rng([seed, tree_index])
+        boots.append(rng.integers(0, n, size=n))
+        trees.append({})
+        growing.append((rng, [(trees[-1], boots[-1])]))
     while growing:
         search = []
         for rng, stack in growing:
@@ -697,7 +718,7 @@ def _lockstep_trees(codes, t, E, scale, rngs, boots, mtry, min_split, min_leaf, 
                 stack.append((node["right"], rows[~left]))
                 stack.append((node["left"], rows[left]))
         growing = [g for g in growing if g[1]]
-    return trees
+    return trees, boots
 
 
 def rsf_fit(
@@ -725,18 +746,16 @@ def rsf_fit(
         raise DataError("no records")
     X = covariate_matrix(records, use_age=use_age, reference_year=reference_year)
     T, E = times_events(records)
-    n, p = X.shape
+    p = X.shape[1]
     if mtry is None:
         mtry = int(np.ceil(np.sqrt(p)))
     if mtry < 1:
         raise DataError("mtry must be >= 1")
 
     codes, t, scale = _forest_ranks(X, T)
-    rngs = [np.random.default_rng([seed, tree_index]) for tree_index in range(n_estimators)]
-    boots = [rng.integers(0, n, size=n) for rng in rngs]
     leaves: list = []
-    trees = _lockstep_trees(
-        codes, t, E, scale, rngs, boots, mtry, min_samples_split, min_samples_leaf, leaves
+    trees, boots = _lockstep_trees(
+        codes, t, E, scale, seed, n_estimators, mtry, min_samples_split, min_samples_leaf, leaves
     )
     _fill_leaves(leaves, scale[-1])
     return SurvivalForest(
