@@ -772,12 +772,12 @@ class TestBlockSizes:
     @pytest.mark.parametrize("cells", _BLOCK_SIZES)
     @pytest.mark.parametrize("key", sorted(TestPinnedTrees.PINNED))
     def test_pinned_trees(self, pinned_cohort, key, cells):
-        # the cell budget alone sizes the split batches, down to one
-        # threshold per batch
+        # the cell budget sizes the chunks of nodes, down to one node per
+        # chunk; one threshold per batch is test_one_node_per_batch's case
         size, use_age, leaf = key
         with mock.patch.object(survival, "_BLOCK_CELLS", cells), mock.patch.object(
             survival, "_SPLIT_CELLS", cells
-        ), mock.patch.object(survival, "_SPLIT_THRESHOLDS", 0):
+        ):
             forest = rsf_fit(
                 pinned_cohort[size],
                 n_estimators=10,
